@@ -16,6 +16,7 @@ up empty or a built net failed verification).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -305,7 +306,9 @@ def _cmd_kneser(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="radonnets",
         description="Invariants, weak epsilon-nets, and lower bounds for finite convexity spaces.",

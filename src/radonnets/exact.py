@@ -210,6 +210,7 @@ def _k_colorable(adj: Sequence[int], vertices: list[int], k: int, clique: list[i
         return False
 
     ok = dfs(max_used)
+    del dfs  # breaks the closure's reference to itself
     for v, c, touched in reversed(seeds):
         undo(v, c, touched)
     return ok
@@ -367,6 +368,7 @@ def minimal_weak_net(
             allowed &= ~(1 << v)
 
     search(targets, 0, universe)
+    del search  # breaks the closure's reference to itself
 
     # Second pass: reconstruct the lexicographically least net of the
     # optimal size.  Optimal nets are irredundant, so every picked point
@@ -398,6 +400,7 @@ def minimal_weak_net(
         return None
 
     witness = lex_least(targets, [], 0)
+    del lex_least  # breaks the closure's reference to itself
     if witness is None:
         raise AssertionError("optimal size verified but no witness found")
     return size, PointSet.from_indices(witness)

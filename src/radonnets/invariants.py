@@ -2,15 +2,18 @@
 
 All three are computed exactly by constrained search:
 
-* Radon: a set is shatterable when every bipartition has disjoint hulls;
-  shatterability is downward monotone, so sets are grown by size with a
-  frontier of still-shatterable sets.
-* Helly: the Helly number of a family is the largest inclusion-minimal
-  subfamily with empty intersection.  Minimal families intersect strictly
-  smaller at every prefix in any order, which turns enumeration into a
-  shrinking-intersection DFS with a permanent-redundancy prune.
-* VC: downward-monotone frontier search on full shattering of traces.
+* Radon: the largest set whose every bipartition has disjoint hulls.
+* Helly: the largest inclusion-minimal subfamily with empty intersection.
+  When the family's union has at most as many points as the family has
+  members, the number h comes from the point side: the largest point set
+  Y whose hulls hull(Y - y), y in Y, have empty common intersection (van
+  de Vel).  A shrinking-intersection DFS over the family, seeded with
+  h - 1 and capped at h, then finds the witness.  Otherwise that DFS
+  runs alone, unseeded.
+* VC: the largest set whose every subset is a trace of the family.
 
+Shattering, Helly independence and full traces are downward monotone, so
+one frontier search, growing sets by size, serves all three point sides.
 Reported witnesses are the lexicographically least of maximum size, so
 results are reproducible across runs.
 """
@@ -18,16 +21,12 @@ results are reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial, reduce
+from operator import and_
+from typing import Callable, Optional, Sequence
 
-from .space import (
-    ConsistencyError,
-    ConvexFamily,
-    ConvexitySpace,
-    PointSet,
-    halfspaces,
-    is_separable,
-)
+from .space import ConsistencyError, ConvexFamily, ConvexitySpace, PointSet
+from .space import halfspaces, is_separable
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,29 +40,20 @@ class InvariantReport:
     vc_witness: PointSet
 
 
-def _hull_masks(space: ConvexitySpace) -> tuple[list[int], list[int]]:
-    """Per-point bitsets over the family plus the family's masks.
-
-    `point_rows[i]` has bit j set when convex set j contains point i, so
-    the sets containing Y are the AND of Y's rows, and the hull of Y is
-    the intersection of those sets.
-    """
-    masks = [s.mask for s in space.sets]
-    n = space.ground.size
-    point_rows = [0] * n
-    for j, m in enumerate(masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            point_rows[low.bit_length() - 1] |= 1 << j
-            mm ^= low
-    return point_rows, masks
-
-
 class _HullCache:
-    def __init__(self, space: ConvexitySpace):
-        self.full = space.full.mask
-        self.point_rows, self.family = _hull_masks(space)
+    """Memoized hulls in the intersection closure of `masks` inside
+    `universe`: the hull of Y is the intersection of the members that
+    contain Y, found as the AND of Y's rows in `point_rows`."""
+
+    def __init__(self, masks: Sequence[int], universe: int):
+        self.universe = universe
+        self.family = list(masks)
+        self.point_rows = [0] * universe.bit_length()
+        for j, m in enumerate(self.family):
+            while m:
+                low = m & -m
+                self.point_rows[low.bit_length() - 1] |= 1 << j
+                m ^= low
         self.all_rows = (1 << len(self.family)) - 1
         self.memo: dict[int, int] = {0: 0}
 
@@ -77,7 +67,7 @@ class _HullCache:
             low = m & -m
             rows &= self.point_rows[low.bit_length() - 1]
             m ^= low
-        acc = self.full
+        acc = self.universe
         while rows:
             low = rows & -rows
             acc &= self.family[low.bit_length() - 1]
@@ -86,13 +76,32 @@ class _HullCache:
         return acc
 
 
+def _largest_downward_closed(points: int, keep: Callable[[int], bool]) -> int:
+    """Lexicographically least maximum subset of `points` accepted by the
+    downward-monotone `keep`, grown by size from a frontier of accepted
+    sets.  Extending only by points above the top index generates every
+    candidate once, in lexicographic order."""
+    frontier, best = [0], 0
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for i in range(y.bit_length(), points.bit_length()):
+                cand = y | (1 << i)
+                if (points >> i) & 1 and keep(cand):
+                    nxt.append(cand)
+        if nxt:
+            best = nxt[0]
+        frontier = nxt
+    return best
+
+
 def is_radon_shattered(space: ConvexitySpace, points: PointSet) -> bool:
     """Every bipartition of `points` has hulls with empty intersection.
 
     The hull of the empty part is empty, so one-sided splits are fine and
     the empty set and singletons are trivially shattered.
     """
-    return _shattered(_HullCache(space), points.mask)
+    return _shattered(_HullCache(space.convex.masks(), space.full.mask), points.mask)
 
 
 def _shattered(hc: _HullCache, y: int) -> bool:
@@ -119,23 +128,8 @@ def radon_number(space: ConvexitySpace) -> tuple[int, PointSet]:
     Equals one plus the largest shattered set size.  Returns the number
     and the lexicographically least shattered witness of maximum size.
     """
-    hc = _HullCache(space)
-    n = space.ground.size
-    frontier = [0]
-    best = 0
-    # Frontier sets are shattered; extend by points above the max index so
-    # each candidate set is generated exactly once, in lexicographic order.
-    while frontier:
-        nxt = []
-        for y in frontier:
-            top = y.bit_length()
-            for i in range(top, n):
-                cand = y | (1 << i)
-                if _shattered(hc, cand):
-                    nxt.append(cand)
-        if nxt:
-            best = nxt[0]
-        frontier = nxt
+    hc = _HullCache(space.convex.masks(), space.full.mask)
+    best = _largest_downward_closed(space.full.mask, partial(_shattered, hc))
     return best.bit_count() + 1, PointSet(best)
 
 
@@ -149,84 +143,89 @@ def helly_number(family: ConvexFamily | Sequence[PointSet]) -> tuple[int, tuple[
 
     The witness is the canonically least subfamily of maximum size.
     """
-    sets = list(family.sets if isinstance(family, ConvexFamily) else canonicalized(family))
-    masks = [s.mask for s in sets]
-    k = len(masks)
-    total = -1
+    if not isinstance(family, ConvexFamily):
+        family = ConvexFamily(tuple(family))
+    masks = family.masks()
+    total, union = -1, 0
     for m in masks:
         total &= m
-    if k == 0 or total != 0:
+        union |= m
+    if not masks or total != 0:
         return 1, ()
-
-    best_size = 0
-    best: tuple[int, ...] = ()
-
-    def minimal(prefix: list[int]) -> bool:
-        # Every member must be essential: dropping it leaves a non-empty
-        # intersection.  Computed with prefix/suffix intersection tables.
-        k = len(prefix)
-        pre = [-1] * (k + 1)
-        for i, j in enumerate(prefix):
-            pre[i + 1] = pre[i] & masks[j]
-        suf = -1
-        for i in range(k - 1, -1, -1):
-            if pre[i] & suf == 0:
-                return False
-            suf &= masks[prefix[i]]
-        return True
-
-    # DFS over index-increasing prefixes whose running intersection shrinks
-    # strictly at every step.  Strict shrinking is necessary for an
-    # inclusion-minimal family in any order, so this enumerates a superset
-    # of the minimal families; leaves are filtered by the direct minimality
-    # check.  A member redundant against the current intersection stays
-    # redundant forever (intersections only shrink), so it is dropped from
-    # the candidate list passed down.
-    def extend(prefix: list[int], inter: int, candidates: list[int]) -> None:
-        nonlocal best_size, best
-        if inter == 0:
-            if len(prefix) > best_size and minimal(prefix):
-                best_size = len(prefix)
-                best = tuple(prefix)
-            return
-        live = [j for j in candidates if inter & masks[j] != inter]
-        # Even if every live candidate is taken, each must strictly shrink
-        # the intersection, and there are at most |inter| strict steps left.
-        ceiling = len(prefix) + min(len(live), inter.bit_count())
-        if ceiling <= best_size:
-            return
-        for pos, j in enumerate(live):
-            nxt = inter & masks[j]
-            if nxt == 0 and len(prefix) + 1 <= best_size:
-                continue
-            prefix.append(j)
-            extend(prefix, nxt, live[pos + 1:])
-            prefix.pop()
-
-    extend([], -1, list(range(k)))
-    return best_size, tuple(sets[j] for j in best)
+    if union == 0:
+        return 1, family.sets  # just the empty set
+    # Search the smaller side: points when the union has at most as many
+    # points as the family has members, the family alone otherwise.
+    floor, cap = 0, len(masks)
+    if union.bit_count() <= len(masks):
+        cap = _point_side_helly(masks, union)
+        floor = cap - 1
+    best = _largest_minimal(masks, [], union, list(range(len(masks))), floor, cap)
+    if best is None:
+        raise ConsistencyError(f"no minimal empty-intersection subfamily of size {cap}")
+    return len(best), tuple(family.sets[j] for j in best)
 
 
-def canonicalized(sets: Sequence[PointSet]) -> tuple[PointSet, ...]:
-    return ConvexFamily(tuple(sets)).sets
+def _point_side_helly(masks: Sequence[int], union: int) -> int:
+    """Size of the largest Y within `union` with empty intersection of
+    the hulls hull(Y - y), y in Y, which is the Helly number (van de Vel,
+    Theory of Convex Structures, 1993).  Such Y are downward closed: a
+    point in every hull(Y' - y) lies in hull(Y') too."""
+    hc = _HullCache(masks, union)
+    return _largest_downward_closed(union, partial(_helly_independent, hc)).bit_count()
+
+
+def _helly_independent(hc: _HullCache, y: int) -> bool:
+    inter = hc.universe
+    for i in range(y.bit_length()):
+        if (y >> i) & 1:
+            inter &= hc.hull(y ^ (1 << i))
+    return inter == 0
+
+
+def _largest_minimal(
+    masks: Sequence[int], prefix: list[int], inter: int, candidates: list[int], floor: int, cap: int
+) -> Optional[tuple[int, ...]]:
+    """Canonically least largest inclusion-minimal family with empty
+    intersection that extends `prefix` by `candidates`, with more than
+    `floor` and at most `cap` members; None when there is none.
+
+    DFS over index-increasing prefixes whose intersection `inter` shrinks
+    strictly at every step, which every minimal family does in any order;
+    leaves are filtered by the direct minimality check.  A member
+    redundant against the current intersection stays redundant, so it is
+    dropped from the candidates passed down.
+    """
+    if inter == 0:
+        return tuple(prefix) if len(prefix) > floor and _is_minimal(masks, prefix) else None
+    live = [j for j in candidates if inter & masks[j] != inter]
+    # Each further member must shrink the intersection strictly.
+    if len(prefix) >= cap or len(prefix) + min(len(live), inter.bit_count()) <= floor:
+        return None
+    best = None
+    for pos, j in enumerate(live):
+        nxt = inter & masks[j]
+        if nxt == 0 and len(prefix) + 1 <= floor:
+            continue
+        prefix.append(j)
+        got = _largest_minimal(masks, prefix, nxt, live[pos + 1:], floor, cap)
+        prefix.pop()
+        if got is not None:
+            best, floor = got, len(got)
+            if floor == cap:
+                break
+    return best
+
+
+def _is_minimal(masks: Sequence[int], family: list[int]) -> bool:
+    """Dropping any member leaves a non-empty intersection."""
+    return all(reduce(and_, (masks[j] for j in family if j != drop), -1) for drop in family)
 
 
 def vc_dimension(family: ConvexFamily | Sequence[PointSet], ground_size: int) -> tuple[int, PointSet]:
     """Largest set whose every subset is a trace of the family."""
     masks = [s.mask for s in (family.sets if isinstance(family, ConvexFamily) else family)]
-    frontier = [0]
-    best = 0
-    while frontier:
-        nxt = []
-        for y in frontier:
-            top = y.bit_length()
-            for i in range(top, ground_size):
-                cand = y | (1 << i)
-                if _traces_all(masks, cand):
-                    nxt.append(cand)
-        if nxt:
-            best = nxt[0]
-        frontier = nxt
+    best = _largest_downward_closed((1 << ground_size) - 1, partial(_traces_all, masks))
     return best.bit_count(), PointSet(best)
 
 

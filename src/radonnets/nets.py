@@ -304,6 +304,9 @@ def build_weak_net(
         return node, points
 
     root, points_mask = recurse(support0, 0)
+    # `recurse` refers to itself through its closure; dropping the name
+    # breaks that cycle, so the memo is freed by reference counting.
+    del recurse
     points = PointSet(points_mask)
     bound = size_bound_value(eps, h, v)
     if len(points) > bound:

@@ -164,6 +164,41 @@ def naive_helly(family: ConvexFamily, ground_size: int) -> int:
     return best
 
 
+def reference_helly(
+    family: ConvexFamily, ground_size: int, floor: int = 0
+) -> tuple[int, tuple[PointSet, ...]]:
+    """Family-side Helly search by private regions.
+
+    A subfamily is inclusion-minimal with empty intersection exactly when
+    its intersection is empty and every member j has a private point: a
+    point in all other members but not in j.  Adding members only shrinks
+    the private regions, so the DFS over index-increasing subfamilies cuts
+    a branch as soon as one region empties.  Returns the largest such
+    family with more than `floor` members, the first of that size in
+    lexicographic order, or `(max(floor, 1), ())` when there is none.
+    """
+    masks = [s.mask for s in family.sets]
+    best: list = [floor, ()]
+
+    def extend(chosen: list[int], private: list[int], inter: int, start: int) -> None:
+        if inter == 0:
+            if len(chosen) > best[0]:
+                best[:] = [len(chosen), tuple(chosen)]
+            return
+        # Later members' private points are distinct points of `inter`.
+        if len(chosen) + inter.bit_count() <= best[0]:
+            return
+        for j in range(start, len(masks)):
+            m = masks[j]
+            kept = [p & m for p in private]
+            if all(kept) and inter & ~m:
+                extend(chosen + [j], kept + [inter & ~m], inter & m, j + 1)
+
+    extend([], [], (1 << ground_size) - 1, 0)
+    size, chosen = best
+    return max(size, 1), tuple(family.sets[j] for j in chosen)
+
+
 def naive_vc(family: ConvexFamily, ground_size: int) -> int:
     masks = [s.mask for s in family.sets]
     best = 0

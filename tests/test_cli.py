@@ -216,3 +216,47 @@ def test_kneser_argument_errors(capsys):
     code, _, err = run_cli(capsys, "kneser", "--n", "5")
     assert code == 2
     assert "--k" in err
+
+
+# --- repeated calls ---------------------------------------------------------------
+
+
+def _strip_elapsed(out):
+    return "\n".join(line for line in out.splitlines() if "elapsed_seconds" not in line)
+
+
+def test_repeated_main_calls_match_fresh_parser(path3_file, tmp_path, capsys):
+    """The parser is built once per process; reusing it across calls with
+    different subcommands, and after an argument error, changes no output."""
+    from radonnets import cli
+
+    dist = write_uniform(tmp_path, 3)
+    calls = [
+        ["gen", "power", "--m", "2"],
+        ["analyze", path3_file],
+        ["net", path3_file, dist, "--eps", "0.6"],
+        ["net", path3_file, dist, "--eps", "3/5", "--verify", "--oracle"],
+        ["gen", "lattice", "--width", "2"],
+        ["--human", "lowerbound", path3_file, dist, "--eps", "1/3"],
+        ["kneser", "--n", "5", "--k", "2", "--exact"],
+        ["analyze", path3_file],
+    ]
+
+    def run_all(fresh):
+        outputs = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            outputs.append((code, _strip_elapsed(captured.out), captured.err))
+        return outputs
+
+    fresh = run_all(fresh=True)
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2, 0, 0, 0]
+    assert "eps must be an exact fraction" in fresh[2][2]
+    assert run_all(fresh=False) == fresh
+    assert run_all(fresh=False) == fresh

@@ -289,3 +289,31 @@ def test_net_size_never_beats_the_oracle():
         net = build_weak_net(sp, halfspaces(sp), mu, eps)
         opt, _ = minimal_weak_net(sp, mu, eps)
         assert opt <= len(net.points)
+
+
+def test_library_calls_leave_no_reference_cycles():
+    """The recursive helpers free their memos by reference counting, so a
+    call leaves nothing for the cycle collector."""
+    import gc
+
+    from radonnets import analyze, exact_chromatic_number, kneser_graph, lattice_convex_space
+
+    sp = lattice_convex_space(2, 3)
+    b = halfspaces(sp)
+    mu = seeded_distribution(sp.ground.size, "cycles")
+    calls = [
+        lambda: analyze(sp),
+        lambda: build_weak_net(sp, b, mu, Fraction(1, 4)),
+        lambda: minimal_weak_net(sp, mu, Fraction(1, 4)),
+        lambda: exact_chromatic_number(kneser_graph(7, 2).graph),
+    ]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
