@@ -4,29 +4,33 @@ All three are computed exactly by constrained search:
 
 * Radon: the largest set whose every bipartition has disjoint hulls.
 * Helly: the largest inclusion-minimal subfamily with empty intersection.
-  When the family's union has at most as many points as the family has
-  members, the number h comes from the point side: the largest point set
-  Y whose hulls hull(Y - y), y in Y, have empty common intersection (van
-  de Vel).  A shrinking-intersection DFS over the family, seeded with
-  h - 1 and capped at h, then finds the witness.  Otherwise that DFS
-  runs alone, unseeded.
+  Such a family is one whose every member has a private point, in all
+  the other members but not in it.  A DFS over index-increasing
+  subfamilies tracks each member's private region and cuts a branch as
+  soon as one empties, which keeps it to the minimal families and their
+  prefixes.
 * VC: the largest set whose every subset is a trace of the family.
 
-Shattering, Helly independence and full traces are downward monotone, so
-one frontier search, growing sets by size, serves all three point sides.
-Reported witnesses are the lexicographically least of maximum size, so
-results are reproducible across runs.
+Shattering and full traces are downward monotone, so one frontier
+search, growing sets by size, serves Radon and VC.  Reported witnesses
+are the lexicographically least of maximum size, so results are
+reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
-from operator import and_
+from functools import partial
 from typing import Callable, Optional, Sequence
 
-from .space import ConsistencyError, ConvexFamily, ConvexitySpace, PointSet
-from .space import halfspaces, is_separable
+from .space import (
+    ConsistencyError,
+    ConvexFamily,
+    ConvexitySpace,
+    PointSet,
+    halfspaces,
+    is_separable,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -41,14 +45,17 @@ class InvariantReport:
 
 
 class _HullCache:
-    """Memoized hulls in the intersection closure of `masks` inside
-    `universe`: the hull of Y is the intersection of the members that
-    contain Y, found as the AND of Y's rows in `point_rows`."""
+    """Memoized hulls in a convexity space.
 
-    def __init__(self, masks: Sequence[int], universe: int):
-        self.universe = universe
-        self.family = list(masks)
-        self.point_rows = [0] * universe.bit_length()
+    `point_rows[i]` has bit j set when convex set j contains point i, so
+    the sets containing Y are the AND of Y's rows, and the hull of Y is
+    the intersection of those sets.
+    """
+
+    def __init__(self, space: ConvexitySpace):
+        self.full = space.full.mask
+        self.family = [s.mask for s in space.sets]
+        self.point_rows = [0] * space.ground.size
         for j, m in enumerate(self.family):
             while m:
                 low = m & -m
@@ -67,7 +74,7 @@ class _HullCache:
             low = m & -m
             rows &= self.point_rows[low.bit_length() - 1]
             m ^= low
-        acc = self.universe
+        acc = self.full
         while rows:
             low = rows & -rows
             acc &= self.family[low.bit_length() - 1]
@@ -76,8 +83,8 @@ class _HullCache:
         return acc
 
 
-def _largest_downward_closed(points: int, keep: Callable[[int], bool]) -> int:
-    """Lexicographically least maximum subset of `points` accepted by the
+def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
+    """Lexicographically least maximum subset of range(n) accepted by the
     downward-monotone `keep`, grown by size from a frontier of accepted
     sets.  Extending only by points above the top index generates every
     candidate once, in lexicographic order."""
@@ -85,9 +92,9 @@ def _largest_downward_closed(points: int, keep: Callable[[int], bool]) -> int:
     while frontier:
         nxt = []
         for y in frontier:
-            for i in range(y.bit_length(), points.bit_length()):
+            for i in range(y.bit_length(), n):
                 cand = y | (1 << i)
-                if (points >> i) & 1 and keep(cand):
+                if keep(cand):
                     nxt.append(cand)
         if nxt:
             best = nxt[0]
@@ -101,7 +108,7 @@ def is_radon_shattered(space: ConvexitySpace, points: PointSet) -> bool:
     The hull of the empty part is empty, so one-sided splits are fine and
     the empty set and singletons are trivially shattered.
     """
-    return _shattered(_HullCache(space.convex.masks(), space.full.mask), points.mask)
+    return _shattered(_HullCache(space), points.mask)
 
 
 def _shattered(hc: _HullCache, y: int) -> bool:
@@ -128,8 +135,8 @@ def radon_number(space: ConvexitySpace) -> tuple[int, PointSet]:
     Equals one plus the largest shattered set size.  Returns the number
     and the lexicographically least shattered witness of maximum size.
     """
-    hc = _HullCache(space.convex.masks(), space.full.mask)
-    best = _largest_downward_closed(space.full.mask, partial(_shattered, hc))
+    hc = _HullCache(space)
+    best = _largest_downward_closed(space.ground.size, partial(_shattered, hc))
     return best.bit_count() + 1, PointSet(best)
 
 
@@ -154,78 +161,46 @@ def helly_number(family: ConvexFamily | Sequence[PointSet]) -> tuple[int, tuple[
         return 1, ()
     if union == 0:
         return 1, family.sets  # just the empty set
-    # Search the smaller side: points when the union has at most as many
-    # points as the family has members, the family alone otherwise.
-    floor, cap = 0, len(masks)
-    if union.bit_count() <= len(masks):
-        cap = _point_side_helly(masks, union)
-        floor = cap - 1
-    best = _largest_minimal(masks, [], union, list(range(len(masks))), floor, cap)
-    if best is None:
-        raise ConsistencyError(f"no minimal empty-intersection subfamily of size {cap}")
+    best = _largest_minimal(masks, [], [], union, 0, 0)
     return len(best), tuple(family.sets[j] for j in best)
 
 
-def _point_side_helly(masks: Sequence[int], union: int) -> int:
-    """Size of the largest Y within `union` with empty intersection of
-    the hulls hull(Y - y), y in Y, which is the Helly number (van de Vel,
-    Theory of Convex Structures, 1993).  Such Y are downward closed: a
-    point in every hull(Y' - y) lies in hull(Y') too."""
-    hc = _HullCache(masks, union)
-    return _largest_downward_closed(union, partial(_helly_independent, hc)).bit_count()
-
-
-def _helly_independent(hc: _HullCache, y: int) -> bool:
-    inter = hc.universe
-    for i in range(y.bit_length()):
-        if (y >> i) & 1:
-            inter &= hc.hull(y ^ (1 << i))
-    return inter == 0
-
-
 def _largest_minimal(
-    masks: Sequence[int], prefix: list[int], inter: int, candidates: list[int], floor: int, cap: int
+    masks: Sequence[int], chosen: list[int], private: list[int], inter: int, start: int, best_size: int
 ) -> Optional[tuple[int, ...]]:
-    """Canonically least largest inclusion-minimal family with empty
-    intersection that extends `prefix` by `candidates`, with more than
-    `floor` and at most `cap` members; None when there is none.
+    """Canonically least largest family, with more than `best_size`
+    members, that is inclusion-minimal with empty intersection and
+    extends `chosen` by members from `start` on; None when there is none.
 
-    DFS over index-increasing prefixes whose intersection `inter` shrinks
-    strictly at every step, which every minimal family does in any order;
-    leaves are filtered by the direct minimality check.  A member
-    redundant against the current intersection stays redundant, so it is
-    dropped from the candidates passed down.
+    A family is minimal with empty intersection exactly when its
+    intersection is empty and each member has a private point, one in
+    every other member but not in it.  `inter` is the intersection of
+    `chosen` and `private[i]` the points in every chosen member but
+    `chosen[i]`; adding members only shrinks them, so a branch is cut as
+    soon as a private region empties.
     """
     if inter == 0:
-        return tuple(prefix) if len(prefix) > floor and _is_minimal(masks, prefix) else None
-    live = [j for j in candidates if inter & masks[j] != inter]
-    # Each further member must shrink the intersection strictly.
-    if len(prefix) >= cap or len(prefix) + min(len(live), inter.bit_count()) <= floor:
+        return tuple(chosen) if len(chosen) > best_size else None
+    # The members still to come have distinct private points inside `inter`.
+    if len(chosen) + inter.bit_count() <= best_size:
         return None
     best = None
-    for pos, j in enumerate(live):
-        nxt = inter & masks[j]
-        if nxt == 0 and len(prefix) + 1 <= floor:
-            continue
-        prefix.append(j)
-        got = _largest_minimal(masks, prefix, nxt, live[pos + 1:], floor, cap)
-        prefix.pop()
-        if got is not None:
-            best, floor = got, len(got)
-            if floor == cap:
-                break
+    for j in range(start, len(masks)):
+        m = masks[j]
+        if inter & ~m:
+            kept = [p & m for p in private]
+            if all(kept):
+                kept.append(inter & ~m)
+                got = _largest_minimal(masks, chosen + [j], kept, inter & m, j + 1, best_size)
+                if got is not None:
+                    best, best_size = got, len(got)
     return best
-
-
-def _is_minimal(masks: Sequence[int], family: list[int]) -> bool:
-    """Dropping any member leaves a non-empty intersection."""
-    return all(reduce(and_, (masks[j] for j in family if j != drop), -1) for drop in family)
 
 
 def vc_dimension(family: ConvexFamily | Sequence[PointSet], ground_size: int) -> tuple[int, PointSet]:
     """Largest set whose every subset is a trace of the family."""
     masks = [s.mask for s in (family.sets if isinstance(family, ConvexFamily) else family)]
-    best = _largest_downward_closed((1 << ground_size) - 1, partial(_traces_all, masks))
+    best = _largest_downward_closed(ground_size, partial(_traces_all, masks))
     return best.bit_count(), PointSet(best)
 
 

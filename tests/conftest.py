@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import pytest
 
@@ -164,39 +166,65 @@ def naive_helly(family: ConvexFamily, ground_size: int) -> int:
     return best
 
 
-def reference_helly(
-    family: ConvexFamily, ground_size: int, floor: int = 0
-) -> tuple[int, tuple[PointSet, ...]]:
-    """Family-side Helly search by private regions.
+def reference_helly(family: ConvexFamily, ground_size: int) -> tuple[int, tuple[PointSet, ...]]:
+    """Family-side Helly search by shrinking intersections.
 
-    A subfamily is inclusion-minimal with empty intersection exactly when
-    its intersection is empty and every member j has a private point: a
-    point in all other members but not in j.  Adding members only shrinks
-    the private regions, so the DFS over index-increasing subfamilies cuts
-    a branch as soon as one region empties.  Returns the largest such
-    family with more than `floor` members, the first of that size in
-    lexicographic order, or `(max(floor, 1), ())` when there is none.
+    An inclusion-minimal family with empty intersection shrinks its
+    running intersection strictly at every member, in any order, so a
+    DFS over index-increasing subfamilies with strictly shrinking
+    prefixes meets all of them; a leaf counts when dropping any member
+    leaves a non-empty intersection.  Returns the largest such family,
+    the first of that size in lexicographic order, or `(1, ())` when the
+    whole family intersects.
     """
     masks = [s.mask for s in family.sets]
-    best: list = [floor, ()]
+    best: list = [0, ()]
 
-    def extend(chosen: list[int], private: list[int], inter: int, start: int) -> None:
+    def minimal(chosen: list[int]) -> bool:
+        return all(reduce(and_, (masks[j] for j in chosen if j != drop), -1) for drop in chosen)
+
+    def extend(chosen: list[int], inter: int, start: int) -> None:
         if inter == 0:
-            if len(chosen) > best[0]:
+            if len(chosen) > best[0] and minimal(chosen):
                 best[:] = [len(chosen), tuple(chosen)]
             return
-        # Later members' private points are distinct points of `inter`.
         if len(chosen) + inter.bit_count() <= best[0]:
             return
         for j in range(start, len(masks)):
-            m = masks[j]
-            kept = [p & m for p in private]
-            if all(kept) and inter & ~m:
-                extend(chosen + [j], kept + [inter & ~m], inter & m, j + 1)
+            if inter & ~masks[j]:
+                extend(chosen + [j], inter & masks[j], j + 1)
 
-    extend([], [], (1 << ground_size) - 1, 0)
+    extend([], (1 << ground_size) - 1, 0)
     size, chosen = best
     return max(size, 1), tuple(family.sets[j] for j in chosen)
+
+
+def point_side_helly(family: ConvexFamily, ground_size: int) -> int:
+    """Helly number from the points (van de Vel, Theory of Convex
+    Structures, 1993): the largest Y whose hulls hull(Y - y), y in Y,
+    have empty common intersection, the hull of S being the intersection
+    of the members that contain S.  Such sets are downward closed, so
+    they are grown by size."""
+    masks = [s.mask for s in family.sets]
+    ground = (1 << ground_size) - 1
+
+    def hull(y: int) -> int:
+        return reduce(and_, (m for m in masks if y & m == y), ground)
+
+    def independent(y: int) -> bool:
+        return reduce(and_, (hull(y ^ (1 << i)) for i in range(ground_size) if y >> i & 1), ground) == 0
+
+    best, frontier = 1, [0]
+    while frontier:
+        frontier = [
+            y | 1 << i
+            for y in frontier
+            for i in range(y.bit_length(), ground_size)
+            if independent(y | 1 << i)
+        ]
+        if frontier:
+            best = max(best, frontier[0].bit_count())
+    return best
 
 
 def naive_vc(family: ConvexFamily, ground_size: int) -> int:
