@@ -88,7 +88,8 @@ def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
     downward-monotone `keep`, grown by size from a frontier of accepted
     sets.  Extending only by points above the top index generates every
     candidate once, in lexicographic order."""
-    frontier, best = [0], 0
+    frontier = [0]
+    best = 0
     while frontier:
         nxt = []
         for y in frontier:
@@ -153,7 +154,8 @@ def helly_number(family: ConvexFamily | Sequence[PointSet]) -> tuple[int, tuple[
     if not isinstance(family, ConvexFamily):
         family = ConvexFamily(tuple(family))
     masks = family.masks()
-    total, union = -1, 0
+    total = -1
+    union = 0
     for m in masks:
         total &= m
         union |= m
