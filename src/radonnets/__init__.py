@@ -51,13 +51,9 @@ from .nets import (
     NetParams,
     PackingBoundWarning,
     WeakNet,
-    ZeroMassCondition,
     amplification_depth,
     build_weak_net,
-    conditional,
-    greedy_packing,
     net_params,
-    piercing_point,
     verify_weak_net,
 )
 from .bounds import (

@@ -36,7 +36,7 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
-    convex_hull,
+    _HullCache,
     size_cap,
 )
 
@@ -75,6 +75,17 @@ class LowerBoundCertificate:
     graph: Optional[DisjointnessGraph] = None
 
 
+def _disjointness(sets: Sequence[PointSet]) -> Graph:
+    """Graph on `sets` with an edge between every two disjoint members."""
+    edges = [
+        (i, j)
+        for i, a in enumerate(sets)
+        for j, b in enumerate(sets[i + 1:], start=i + 1)
+        if a.isdisjoint(b)
+    ]
+    return Graph.from_edges(len(sets), edges)
+
+
 def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> DisjointnessGraph:
     """Full disjointness graph on every eps-dense convex set.
 
@@ -82,13 +93,7 @@ def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -
     on the reduced graph instead.
     """
     sets = dense_sets(space, mu, eps)
-    edges = [
-        (i, j)
-        for i, a in enumerate(sets)
-        for j, b in enumerate(sets[i + 1:], start=i + 1)
-        if a.isdisjoint(b)
-    ]
-    return DisjointnessGraph(sets, Graph.from_edges(len(sets), edges))
+    return DisjointnessGraph(sets, _disjointness(sets))
 
 
 def chromatic_lower_bound(
@@ -110,13 +115,7 @@ def chromatic_lower_bound(
     limit = size_cap() if cap is None else cap
     if len(sets) > limit:
         raise TooLargeForExact(f"{len(sets)} minimal dense sets, exact cap is {limit}")
-    edges = [
-        (i, j)
-        for i, a in enumerate(sets)
-        for j, b in enumerate(sets[i + 1:], start=i + 1)
-        if a.isdisjoint(b)
-    ]
-    graph = Graph.from_edges(len(sets), edges)
+    graph = _disjointness(sets)
     chi = exact_chromatic_number(graph, cap=limit)
     return LowerBoundCertificate(
         mu=mu,
@@ -170,13 +169,7 @@ def kneser_graph(n: int, k: int, cap: Optional[int] = None) -> KneserGraph:
     if math.comb(n, k) > limit:
         raise TooLargeForExact(f"KG_{{{n},{k}}} has {math.comb(n, k)} vertices, cap is {limit}")
     subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
-    edges = [
-        (i, j)
-        for i, a in enumerate(subsets)
-        for j, b in enumerate(subsets[i + 1:], start=i + 1)
-        if a.isdisjoint(b)
-    ]
-    return KneserGraph(n, k, subsets, Graph.from_edges(len(subsets), edges))
+    return KneserGraph(n, k, subsets, _disjointness(subsets))
 
 
 def kneser_chromatic_number(n: int, k: int) -> int:
@@ -243,10 +236,11 @@ def kneser_embedding(
     if r == 0:
         raise ValueError("the shattered set is empty")
     k = math.ceil(eps * r)
+    hulls = _HullCache(space)
     pairs = []
     for c in combinations(shattered.indices, k):
         z = PointSet.from_indices(c)
-        hull = convex_hull(space, z)
+        hull = PointSet(hulls.hull(z.mask))
         if hull.mask & shattered.mask != z.mask:
             raise ConsistencyError(
                 f"hull of {z} meets the shattered set beyond {z}; it is not shattered"

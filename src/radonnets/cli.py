@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import re
 import sys
 import time
@@ -35,7 +36,7 @@ from .bounds import (
     radon_lower_bound,
 )
 from .exact import exact_chromatic_number, minimal_weak_net
-from .generators import GeneratorSpec
+from .generators import GENERATORS
 from .invariants import analyze
 from .nets import build_weak_net, verify_weak_net
 from .space import (
@@ -101,7 +102,7 @@ def _emit(report: dict, human: bool) -> None:
         _flatten("", report, lines)
         print("\n".join(lines))
     else:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _report(command: str, inputs: dict, result: dict, started: float, human: bool) -> None:
@@ -133,6 +134,10 @@ def _edges_arg(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(edges)
 
 
+def _elements_arg(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
 def _relations_arg(text: str) -> tuple[tuple[str, str], ...]:
     if not text:
         return ()
@@ -147,27 +152,11 @@ def _relations_arg(text: str) -> tuple[tuple[str, str], ...]:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.kind == "power":
-        spec = GeneratorSpec("power", {"m": args.m})
-        default_name = f"power-{args.m}"
-    elif args.kind == "cylinders":
-        spec = GeneratorSpec("cylinders", {"n": args.n})
-        default_name = f"cylinders-{args.n}"
-    elif args.kind == "subtree":
-        spec = GeneratorSpec("subtree", {"edges": args.edges})
-        default_name = f"subtree-{len({v for e in args.edges for v in e})}v"
-    elif args.kind == "lattice":
-        spec = GeneratorSpec("lattice", {"width": args.width, "height": args.height})
-        default_name = f"lattice-{args.width}x{args.height}"
-    elif args.kind == "poset":
-        elements = tuple(args.elements.split(","))
-        spec = GeneratorSpec("poset", {"elements": elements, "relations": args.relations})
-        default_name = f"poset-{len(elements)}e"
-    else:
-        spec = GeneratorSpec("random", {"points": args.points, "seed": args.seed})
-        default_name = f"random-{args.points}p-{args.seed}"
-    space = spec.build()
-    text = format_space_file(args.name or default_name, space)
+    kind = GENERATORS[args.kind]
+    params = {k: getattr(args, k) for k in kind.params}
+    name = args.name or kind.default_name(**params)
+    space = kind.build(**params)
+    text = format_space_file(name, space)
     if args.output is None:
         sys.stdout.write(text)
         return 0
@@ -176,7 +165,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         "gen",
         {"output": _digest(Path(args.output), text)},
         {
-            "name": args.name or default_name,
+            "name": name,
             "points": space.ground.size,
             "convex_sets": len(space.convex),
         },
@@ -218,7 +207,7 @@ def _cmd_net(args: argparse.Namespace) -> int:
         "depth": net.params.depth,
         "size": len(net.points),
         "points": _labels(space, net.points),
-        "size_bound": net.size_bound,
+        "size_bound": net.size_bound if math.isfinite(net.size_bound) else None,
     }
     if args.verify:
         check = verify_weak_net(space, mu, args.eps, net.points)
@@ -317,13 +306,13 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate an example space file")
-    gen.add_argument("kind", choices=["power", "cylinders", "subtree", "lattice", "poset", "random"])
+    gen.add_argument("kind", choices=list(GENERATORS))
     gen.add_argument("--m", type=int, help="point count (power)")
     gen.add_argument("--n", type=int, help="cube dimension (cylinders)")
     gen.add_argument("--edges", type=_edges_arg, help="tree edges a-b,b-c (subtree)")
     gen.add_argument("--width", type=int, help="grid width (lattice)")
     gen.add_argument("--height", type=int, help="grid height (lattice)")
-    gen.add_argument("--elements", help="comma-separated poset elements (poset)")
+    gen.add_argument("--elements", type=_elements_arg, help="comma-separated poset elements (poset)")
     gen.add_argument("--relations", type=_relations_arg, default=(), help="relations a<b,b<c (poset)")
     gen.add_argument("--points", type=int, help="point count (random)")
     gen.add_argument("--seed", type=int, help="seed (random)")
@@ -359,20 +348,10 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-_GEN_REQUIRED = {
-    "power": ["m"],
-    "cylinders": ["n"],
-    "subtree": ["edges"],
-    "lattice": ["width", "height"],
-    "poset": ["elements"],
-    "random": ["points", "seed"],
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     if args.command == "gen":
-        missing = [f"--{k}" for k in _GEN_REQUIRED[args.kind] if getattr(args, k) is None]
+        missing = [f"--{k}" for k in GENERATORS[args.kind].params if getattr(args, k) is None]
         if missing:
             print(f"gen {args.kind} requires {', '.join(missing)}", file=sys.stderr)
             return 2

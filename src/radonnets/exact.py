@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .space import (
+    ConsistencyError,
     ConvexitySpace,
     Distribution,
     PointSet,
@@ -402,5 +403,5 @@ def minimal_weak_net(
     witness = lex_least(targets, [], 0)
     del lex_least  # breaks the closure's reference to itself
     if witness is None:
-        raise AssertionError("optimal size verified but no witness found")
+        raise ConsistencyError("optimal size verified but no witness found")
     return size, PointSet.from_indices(witness)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .space import (
+    ConsistencyError,
     ConvexFamily,
     ConvexitySpace,
     GroundSet,
@@ -273,8 +274,37 @@ def random_separable(points: int, seed: int) -> ConvexitySpace:
     space = intersection_closure(ground, basis)
     check = is_separable(space)
     if not check.separable:
-        raise AssertionError(f"complement-closed basis produced a non-separable space: {check}")
+        raise ConsistencyError(f"complement-closed basis produced a non-separable space: {check}")
     return space
+
+
+class GeneratorKind(NamedTuple):
+    """A builder, its parameter names (also the `radonnets gen` options),
+    and the default space name for given parameters."""
+
+    build: Callable[..., ConvexitySpace]
+    params: tuple[str, ...]
+    default_name: Callable[..., str]
+
+
+GENERATORS: dict[str, GeneratorKind] = {
+    "power": GeneratorKind(power_set_space, ("m",), lambda m: f"power-{m}"),
+    "cylinders": GeneratorKind(cylinder_space, ("n",), lambda n: f"cylinders-{n}"),
+    "subtree": GeneratorKind(
+        subtree_space, ("edges",), lambda edges: f"subtree-{len({v for e in edges for v in e})}v"
+    ),
+    "lattice": GeneratorKind(
+        lattice_convex_space, ("width", "height"), lambda width, height: f"lattice-{width}x{height}"
+    ),
+    "poset": GeneratorKind(
+        linear_extension_space,
+        ("elements", "relations"),
+        lambda elements, relations: f"poset-{len(elements)}e",
+    ),
+    "random": GeneratorKind(
+        random_separable, ("points", "seed"), lambda points, seed: f"random-{points}p-{seed}"
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,14 +315,6 @@ class GeneratorSpec:
     params: dict
 
     def build(self) -> ConvexitySpace:
-        builders = {
-            "power": power_set_space,
-            "cylinders": cylinder_space,
-            "subtree": subtree_space,
-            "lattice": lattice_convex_space,
-            "poset": linear_extension_space,
-            "random": random_separable,
-        }
-        if self.kind not in builders:
+        if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        return builders[self.kind](**self.params)
+        return GENERATORS[self.kind].build(**self.params)

@@ -28,6 +28,7 @@ from .space import (
     ConvexFamily,
     ConvexitySpace,
     PointSet,
+    _HullCache,
     halfspaces,
     is_separable,
 )
@@ -42,45 +43,6 @@ class InvariantReport:
     radon_witness: PointSet
     helly_witness: tuple[PointSet, ...]
     vc_witness: PointSet
-
-
-class _HullCache:
-    """Memoized hulls in a convexity space.
-
-    `point_rows[i]` has bit j set when convex set j contains point i, so
-    the sets containing Y are the AND of Y's rows, and the hull of Y is
-    the intersection of those sets.
-    """
-
-    def __init__(self, space: ConvexitySpace):
-        self.full = space.full.mask
-        self.family = [s.mask for s in space.sets]
-        self.point_rows = [0] * space.ground.size
-        for j, m in enumerate(self.family):
-            while m:
-                low = m & -m
-                self.point_rows[low.bit_length() - 1] |= 1 << j
-                m ^= low
-        self.all_rows = (1 << len(self.family)) - 1
-        self.memo: dict[int, int] = {0: 0}
-
-    def hull(self, y: int) -> int:
-        got = self.memo.get(y)
-        if got is not None:
-            return got
-        rows = self.all_rows
-        m = y
-        while m:
-            low = m & -m
-            rows &= self.point_rows[low.bit_length() - 1]
-            m ^= low
-        acc = self.full
-        while rows:
-            low = rows & -rows
-            acc &= self.family[low.bit_length() - 1]
-            rows ^= low
-        self.memo[y] = acc
-        return acc
 
 
 def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:

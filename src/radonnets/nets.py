@@ -28,10 +28,11 @@ bad net.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 from .space import (
     ConsistencyError,
@@ -40,7 +41,6 @@ from .space import (
     Distribution,
     PointSet,
     masked_sum,
-    measure,
     weight_tables,
 )
 
@@ -51,10 +51,6 @@ class EmptyIntersection(ConsistencyError):
     Cannot happen when the supplied Helly number is genuine; it signals a
     wrong Helly number or a corrupted family.
     """
-
-
-class ZeroMassCondition(ValueError):
-    """Conditioning on a set of measure zero."""
 
 
 class PackingBoundWarning(UserWarning):
@@ -102,45 +98,6 @@ def net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
         eps_next=eps * (1 + Fraction(1, 2 * helly)),
         depth=depth,
     )
-
-
-def piercing_point(space: ConvexitySpace, sets: Iterable[PointSet]) -> int:
-    """Least-index point common to all given sets (all of X when none given)."""
-    inter = space.full.mask
-    for s in sets:
-        inter &= s.mask
-    if inter == 0:
-        raise EmptyIntersection("the given sets have empty intersection")
-    return (inter & -inter).bit_length() - 1
-
-
-def conditional(mu: Distribution, points: PointSet) -> Distribution:
-    total = measure(mu, points)
-    if total == 0:
-        raise ZeroMassCondition(f"{points} has measure zero")
-    return Distribution(
-        tuple(w / total if i in points else Fraction(0) for i, w in enumerate(mu.weights))
-    )
-
-
-def greedy_packing(family: ConvexFamily, mu: Distribution, delta: Fraction) -> ConvexFamily:
-    """Maximal delta-separated subfamily, greedily in canonical order.
-
-    Distance is the measure of the symmetric difference; selected members
-    are pairwise more than delta apart, and by maximality every family
-    member is within delta of a selected one (asserted).
-    """
-    delta = Fraction(delta)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    sets = family.sets
-    dist = lambda a, b: measure(mu, a ^ b)
-    chosen: list[PointSet] = []
-    for s in sets:
-        if all(dist(s, a) > delta for a in chosen):
-            chosen.append(s)
-    assert all(any(dist(s, a) <= delta for a in chosen) for s in sets), "packing is not a cover"
-    return ConvexFamily(tuple(chosen))
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,14 +151,19 @@ def verify_weak_net(
 
 
 def size_bound_value(eps: Fraction, helly: int, vc: int) -> float:
-    """(120 h^2 / eps) ** (4 h v ln(1/eps)), computed in log space."""
+    """(120 h^2 / eps) ** (4 h v ln(1/eps)), computed in log space; inf
+    when the logarithm exceeds 700."""
+    if vc == 0:
+        return 1.0
+    if float(eps) == 0:  # eps below about 1e-324, far past the overflow
+        return math.inf
     base = math.log(120 * helly * helly / float(eps))
     exponent = 4 * helly * vc * math.log(1 / float(eps))
     log_bound = exponent * base
     return math.inf if log_bound > 700 else math.exp(log_bound)
 
 
-_HAUSSLER_BASE = 4 * math.e * math.e
+_LOG_HAUSSLER_BASE = math.log(4 * math.e * math.e)
 
 
 def build_weak_net(
@@ -243,6 +205,15 @@ def build_weak_net(
 
     params = net_params(eps, h, v)
     depth = params.depth
+    # `recurse` takes one frame per level, below the frames already in use
+    # and above the few (measure lookups, warnings) that a node opens.
+    frame, room = sys._getframe(), sys.getrecursionlimit() - 50
+    while frame is not None:
+        frame, room = frame.f_back, room - 1
+    if depth > room:
+        raise ValueError(
+            f"eps needs {depth} recursion levels; the recursion limit allows {max(room, 0)}"
+        )
     grow = 1 + Fraction(1, 2 * h)
     eps_levels = [eps * grow**level for level in range(depth + 1)]
     deltas = [e / (4 * h * h) for e in eps_levels]
@@ -280,10 +251,11 @@ def build_weak_net(
         for b in bmasks:
             if all(q * wsum((b ^ a) & m) > p * w_m for a in chosen):
                 chosen.append(b)
-        cap = (_HAUSSLER_BASE / float(d)) ** v if v else 1.0
-        if len(chosen) > cap:
+        # Haussler's cap (4e^2/delta)^v in log space: float(delta) underflows.
+        log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
+        if chosen and math.log(len(chosen)) > log_cap:
             warnings.warn(
-                f"packing of size {len(chosen)} exceeds the VC bound {cap:.3g}",
+                f"packing of size {len(chosen)} exceeds the VC bound {math.exp(log_cap):.3g}",
                 PackingBoundWarning,
             )
         points = 1 << x0

@@ -320,20 +320,50 @@ def intersection_closure(ground: GroundSet, basis: Iterable[PointSet]) -> Convex
     return ConvexitySpace(ground, ConvexFamily.from_masks(closed))
 
 
+class _HullCache:
+    """Memoized hulls in a convexity space.
+
+    `point_rows[i]` has bit j set when convex set j contains point i, so
+    the sets containing Y are the AND of Y's rows, and the hull of Y is
+    the intersection of those sets.
+    """
+
+    def __init__(self, space: ConvexitySpace):
+        self.full = space.full.mask
+        self.family = [s.mask for s in space.sets]
+        self.point_rows = [0] * space.ground.size
+        for j, m in enumerate(self.family):
+            while m:
+                low = m & -m
+                self.point_rows[low.bit_length() - 1] |= 1 << j
+                m ^= low
+        self.all_rows = (1 << len(self.family)) - 1
+        self.memo: dict[int, int] = {0: 0}
+
+    def hull(self, y: int) -> int:
+        got = self.memo.get(y)
+        if got is not None:
+            return got
+        rows = self.all_rows
+        m = y
+        while m:
+            low = m & -m
+            rows &= self.point_rows[low.bit_length() - 1]
+            m ^= low
+        acc = self.full
+        while rows:
+            low = rows & -rows
+            acc &= self.family[low.bit_length() - 1]
+            rows ^= low
+        self.memo[y] = acc
+        return acc
+
+
 def convex_hull(space: ConvexitySpace, points: PointSet) -> PointSet:
     """Intersection of every convex set containing `points`."""
-    full = space.full.mask
-    y = points.mask
-    if y & ~full:
+    if points.mask & ~space.full.mask:
         raise ValueError(f"{points} is not a subset of the ground set")
-    acc = full
-    for s in space.sets:
-        m = s.mask
-        if y & ~m == 0:
-            acc &= m
-            if acc == y:
-                break
-    return PointSet(acc)
+    return PointSet(_HullCache(space).hull(points.mask))
 
 
 def halfspaces(space: ConvexitySpace, proper: bool = False) -> ConvexFamily:

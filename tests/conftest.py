@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import and_
+from typing import Iterable
 
 import pytest
 
@@ -19,16 +20,14 @@ from radonnets import (
     ConvexFamily,
     ConvexitySpace,
     Distribution,
+    EmptyIntersection,
     PointSet,
     amplification_depth,
-    conditional,
     cylinder_space,
-    greedy_packing,
     halfspaces,
     lattice_convex_space,
     linear_extension_space,
     measure,
-    piercing_point,
     power_set_space,
     random_separable,
     subtree_space,
@@ -285,6 +284,52 @@ def naive_chromatic(adjacency: tuple[int, ...]) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+# --- the net recursion in plain rationals --------------------------------------
+
+
+class ZeroMassCondition(ValueError):
+    """Conditioning on a set of measure zero."""
+
+
+def piercing_point(space: ConvexitySpace, sets: Iterable[PointSet]) -> int:
+    """Least-index point common to all given sets (all of X when none given)."""
+    inter = space.full.mask
+    for s in sets:
+        inter &= s.mask
+    if inter == 0:
+        raise EmptyIntersection("the given sets have empty intersection")
+    return (inter & -inter).bit_length() - 1
+
+
+def conditional(mu: Distribution, points: PointSet) -> Distribution:
+    total = measure(mu, points)
+    if total == 0:
+        raise ZeroMassCondition(f"{points} has measure zero")
+    return Distribution(
+        tuple(w / total if i in points else Fraction(0) for i, w in enumerate(mu.weights))
+    )
+
+
+def greedy_packing(family: ConvexFamily, mu: Distribution, delta: Fraction) -> ConvexFamily:
+    """Maximal delta-separated subfamily, greedily in canonical order.
+
+    Distance is the measure of the symmetric difference; selected members
+    are pairwise more than delta apart, and by maximality every family
+    member is within delta of a selected one (asserted).
+    """
+    delta = Fraction(delta)
+    if delta < 0:
+        raise ValueError("delta must be non-negative")
+    sets = family.sets
+    dist = lambda a, b: measure(mu, a ^ b)
+    chosen: list[PointSet] = []
+    for s in sets:
+        if all(dist(s, a) > delta for a in chosen):
+            chosen.append(s)
+    assert all(any(dist(s, a) <= delta for a in chosen) for s in sets), "packing is not a cover"
+    return ConvexFamily(tuple(chosen))
 
 
 def reference_weak_net(

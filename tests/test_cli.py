@@ -1,9 +1,22 @@
+import contextlib
 import hashlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from radonnets import Distribution, format_distribution_file, parse_space_file
+from radonnets import (
+    Distribution,
+    GroundSet,
+    PointSet,
+    format_distribution_file,
+    format_space_file,
+    intersection_closure,
+    parse_space_file,
+)
 from radonnets.cli import main
 
 
@@ -26,6 +39,15 @@ def path3_file(tmp_path, capsys):
     assert code == 0
     path.write_text(out)
     return str(path)
+
+
+def strict_json(text):
+    """Parse a report, refusing the non-JSON constants Infinity and NaN."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def write_uniform(tmp_path, size, name="mu.json"):
@@ -61,6 +83,8 @@ def test_gen_all_kinds(tmp_path, capsys):
         (["gen", "poset", "--elements", "a,b,c", "--relations", "a<b"], "poset-3e"),
         (["gen", "random", "--points", "4", "--seed", "7"], "random-4p-7"),
         (["gen", "power", "--m", "3", "--name", "cube"], "cube"),
+        (["gen", "subtree", "--edges", "a-b,b-c"], "subtree-3v"),
+        (["gen", "poset", "--elements", "a,b"], "poset-2e"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -71,7 +95,17 @@ def test_gen_all_kinds(tmp_path, capsys):
 def test_gen_missing_parameters(capsys):
     code, _, err = run_cli(capsys, "gen", "lattice", "--width", "2")
     assert code == 2
-    assert "--height" in err
+    assert "gen lattice requires --height" in err.splitlines()
+
+
+def test_gen_random_non_separable_exits_3(monkeypatch, capsys):
+    from radonnets import generators
+    from radonnets.space import SeparationCheck
+
+    monkeypatch.setattr(generators, "is_separable", lambda space: SeparationCheck(False, None))
+    code, _, err = run_cli(capsys, "gen", "random", "--points", "4", "--seed", "7")
+    assert code == 3
+    assert "consistency failure" in err
 
 
 def test_gen_rejects_bad_edges(capsys):
@@ -155,6 +189,44 @@ def test_net_consistency_failure_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "net", str(space), dist, "--eps", "1/3")
     assert code == 3
     assert "consistency failure" in err
+
+
+def test_net_tiny_eps_reports_null_size_bound(path3_file, tmp_path, capsys):
+    """The size bound overflows a float at eps = 1/10^60; the report says null."""
+    dist = write_uniform(tmp_path, 3)
+    code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**60}", "--verify")
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert result["depth"] == 617
+    assert result["size_bound"] is None
+    assert result["verified"] is True
+
+
+@pytest.mark.parametrize("digits", [120, 300, 400])
+def test_net_too_deep_for_the_recursion_limit_exits_2(digits, path3_file, tmp_path, capsys):
+    dist = write_uniform(tmp_path, 3)
+    code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**digits}")
+    assert code == 2
+    assert out == ""
+    assert "recursion levels" in err
+
+
+@pytest.mark.parametrize("digits", [300, 400])
+def test_net_tiny_delta_keeps_the_packing_cap_in_log_space(digits, path3_file, tmp_path, capsys):
+    """With room for the recursion, a delta whose float overflows the
+    Haussler cap (1/10^300) or underflows to 0 (1/10^400) still builds."""
+    dist = write_uniform(tmp_path, 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 5000)
+    try:
+        code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**digits}", "--verify")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0, err
+    result = strict_json(out)["result"]
+    assert result["depth"] > 3000
+    assert result["size_bound"] is None
+    assert result["verified"] is True
 
 
 # --- lowerbound -----------------------------------------------------------------
@@ -260,3 +332,46 @@ def test_repeated_main_calls_match_fresh_parser(path3_file, tmp_path, capsys):
     assert "eps must be an exact fraction" in fresh[2][2]
     assert run_all(fresh=False) == fresh
     assert run_all(fresh=False) == fresh
+
+
+# --- fuzzed inputs ----------------------------------------------------------------
+
+
+@st.composite
+def cli_inputs(draw):
+    """A random intersection-closed space on up to 6 points (separable or
+    not), a random integer measure and an eps from 1 down to 1/10^400."""
+    n = draw(st.integers(1, 6))
+    basis = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    space = intersection_closure(GroundSet(tuple(f"p{i}" for i in range(n))), [PointSet(m) for m in basis])
+    nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    q = draw(st.one_of(st.integers(1, 12), st.integers(0, 400).map(lambda k: 10**k)))
+    p = draw(st.integers(1, min(q, 12)))
+    return space, Distribution.from_integer_weights(nums), f"{p}/{q}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_inputs())
+def test_cli_ends_in_a_report_or_an_error_code(tmp_path_factory, case):
+    space, mu, eps = case
+    work = tmp_path_factory.mktemp("fuzz")
+    space_path, dist_path = work / "space.json", work / "mu.json"
+    space_path.write_text(format_space_file("fuzz", space))
+    dist_path.write_text(format_distribution_file(mu))
+    space_file, dist_file = str(space_path), str(dist_path)
+    calls = [
+        ["analyze", space_file],
+        ["net", space_file, dist_file, "--eps", eps, "--verify", "--oracle"],
+        ["lowerbound", space_file, dist_file, "--eps", eps, "--method", "chromatic"],
+        ["lowerbound", space_file, "--eps", eps, "--method", "radon"],
+    ]
+    for argv in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            strict_json(out.getvalue())

@@ -13,17 +13,13 @@ from radonnets import (
     GroundSet,
     PackingBoundWarning,
     PointSet,
-    ZeroMassCondition,
     amplification_depth,
     build_weak_net,
-    conditional,
     cylinder_space,
-    greedy_packing,
     halfspaces,
     measure,
     minimal_weak_net,
     net_params,
-    piercing_point,
     power_set_space,
     random_separable,
     subtree_space,
@@ -33,7 +29,14 @@ from radonnets import (
 from radonnets.invariants import helly_number, vc_dimension
 from radonnets.nets import size_bound_value
 
-from conftest import reference_weak_net, seeded_distribution
+from conftest import (
+    ZeroMassCondition,
+    conditional,
+    greedy_packing,
+    piercing_point,
+    reference_weak_net,
+    seeded_distribution,
+)
 
 
 # --- recursion parameters -----------------------------------------------------
@@ -88,6 +91,7 @@ def test_size_bound_value():
     got = size_bound_value(Fraction(1, 2), 2, 2)
     assert got == pytest.approx(math.exp(16 * math.log(2) * math.log(960)))
     assert size_bound_value(Fraction(1, 10**6), 5, 5) == math.inf
+    assert size_bound_value(Fraction(1, 10**400), 2, 2) == math.inf
 
 
 # --- recursion building blocks --------------------------------------------------
