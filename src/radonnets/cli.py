@@ -36,7 +36,7 @@ from .bounds import (
     radon_lower_bound,
 )
 from .exact import exact_chromatic_number, minimal_weak_net
-from .generators import GENERATORS
+from .generators import GENERATORS, GeneratorSpec
 from .invariants import analyze
 from .nets import build_weak_net, verify_weak_net
 from .space import (
@@ -155,7 +155,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     kind = GENERATORS[args.kind]
     params = {k: getattr(args, k) for k in kind.params}
     name = args.name or kind.default_name(**params)
-    space = kind.build(**params)
+    space = GeneratorSpec(args.kind, params).build()
     text = format_space_file(name, space)
     if args.output is None:
         sys.stdout.write(text)

@@ -279,30 +279,33 @@ def random_separable(points: int, seed: int) -> ConvexitySpace:
 
 
 class GeneratorKind(NamedTuple):
-    """A builder, its parameter names (also the `radonnets gen` options),
-    and the default space name for given parameters."""
+    """A builder, by its name in this module; its parameter names (also the
+    `radonnets gen` options); and the default space name for given
+    parameters."""
 
-    build: Callable[..., ConvexitySpace]
+    builder: str
     params: tuple[str, ...]
     default_name: Callable[..., str]
 
 
 GENERATORS: dict[str, GeneratorKind] = {
-    "power": GeneratorKind(power_set_space, ("m",), lambda m: f"power-{m}"),
-    "cylinders": GeneratorKind(cylinder_space, ("n",), lambda n: f"cylinders-{n}"),
+    "power": GeneratorKind("power_set_space", ("m",), lambda m: f"power-{m}"),
+    "cylinders": GeneratorKind("cylinder_space", ("n",), lambda n: f"cylinders-{n}"),
     "subtree": GeneratorKind(
-        subtree_space, ("edges",), lambda edges: f"subtree-{len({v for e in edges for v in e})}v"
+        "subtree_space", ("edges",), lambda edges: f"subtree-{len({v for e in edges for v in e})}v"
     ),
     "lattice": GeneratorKind(
-        lattice_convex_space, ("width", "height"), lambda width, height: f"lattice-{width}x{height}"
+        "lattice_convex_space",
+        ("width", "height"),
+        lambda width, height: f"lattice-{width}x{height}",
     ),
     "poset": GeneratorKind(
-        linear_extension_space,
+        "linear_extension_space",
         ("elements", "relations"),
         lambda elements, relations: f"poset-{len(elements)}e",
     ),
     "random": GeneratorKind(
-        random_separable, ("points", "seed"), lambda points, seed: f"random-{points}p-{seed}"
+        "random_separable", ("points", "seed"), lambda points, seed: f"random-{points}p-{seed}"
     ),
 }
 
@@ -317,4 +320,5 @@ class GeneratorSpec:
     def build(self) -> ConvexitySpace:
         if self.kind not in GENERATORS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
-        return GENERATORS[self.kind].build(**self.params)
+        # Looked up at call time, so a wrapped module attribute is the one called.
+        return globals()[GENERATORS[self.kind].builder](**self.params)

@@ -167,3 +167,12 @@ def test_generator_spec_dispatch():
         assert_valid(spec.build())
     with pytest.raises(ValueError):
         GeneratorSpec("mystery", {}).build()
+
+
+def test_generator_spec_calls_the_module_attribute(monkeypatch):
+    """Builders are looked up when called, so a wrapped or patched module
+    function is the one that runs."""
+    from radonnets import generators
+
+    monkeypatch.setattr(generators, "power_set_space", lambda m: f"built {m}")
+    assert GeneratorSpec("power", {"m": 2}).build() == "built 2"
