@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import Graph, TooLarge, _inclusion_minimal, dense_sets, exact_chromatic_number
+from .exact import Graph, TooLarge, _minimal_dense_sets, dense_sets, exact_chromatic_number
 from .invariants import radon_number
 from .space import (
     ConsistencyError,
@@ -110,8 +110,7 @@ def chromatic_lower_bound(
     with no eps-dense set yields the trivial bound 0.
     """
     eps = Fraction(eps)
-    minimal = _inclusion_minimal([s.mask for s in dense_sets(space, mu, eps)])
-    sets = tuple(sorted((PointSet(m) for m in minimal), key=lambda p: p.sort_key))
+    sets = _minimal_dense_sets(space, mu, eps)
     limit = size_cap() if cap is None else cap
     if len(sets) > limit:
         raise TooLargeForExact(f"{len(sets)} minimal dense sets, exact cap is {limit}")

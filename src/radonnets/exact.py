@@ -23,9 +23,8 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
-    masked_sum,
+    canonical_sets,
     size_cap,
-    weight_tables,
 )
 
 
@@ -262,22 +261,24 @@ class HittingSetInstance:
 
 def dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
     """Convex sets of measure at least eps, in canonical order."""
+    eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must satisfy 0 < eps <= 1")
-    nums, den = mu.integer_weights()
-    tables = weight_tables(nums)
-    thresh = eps * den
-    return tuple(s for s in space.sets if masked_sum(tables, s.mask) >= thresh)
+    # mass / den >= p / q, cross-multiplied.
+    p, q = eps.numerator * mu.den, eps.denominator
+    return tuple(s for s in space.sets if q * mu.mass(s.mask) >= p)
 
 
-def _inclusion_minimal(masks: Sequence[int]) -> list[int]:
-    """Inclusion-minimal members; scan by popcount so kept sets are minimal."""
-    order = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+def _minimal_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
+    """Inclusion-minimal eps-dense convex sets, in canonical order.
+
+    Scanned by popcount, so every kept set is minimal.
+    """
     kept: list[int] = []
-    for m in order:
+    for m in sorted((s.mask for s in dense_sets(space, mu, eps)), key=int.bit_count):
         if not any(k & ~m == 0 for k in kept):
             kept.append(m)
-    return kept
+    return canonical_sets(PointSet(m) for m in kept)
 
 
 def hitting_instance(
@@ -293,10 +294,8 @@ def hitting_instance(
     use zero-mass points.  `within_support` restricts candidates to the
     support of mu.
     """
-    targets = _inclusion_minimal([s.mask for s in dense_sets(space, mu, eps)])
     universe = mu.support() if within_support else space.full
-    ordered = sorted((PointSet(m) for m in targets), key=lambda p: p.sort_key)
-    return HittingSetInstance(universe, tuple(ordered))
+    return HittingSetInstance(universe, _minimal_dense_sets(space, mu, eps))
 
 
 def minimal_weak_net(
@@ -321,7 +320,7 @@ def minimal_weak_net(
         if t & universe == 0:
             raise ValueError(f"dense set {PointSet(t)} contains no candidate point")
 
-    def greedy_bound() -> tuple[int, int]:
+    def greedy_bound() -> int:
         remaining = list(targets)
         picked = 0
         while remaining:
@@ -335,7 +334,7 @@ def minimal_weak_net(
             v = max(counts, key=lambda i: (counts[i], -i))
             picked |= 1 << v
             remaining = [t for t in remaining if t & picked == 0]
-        return picked.bit_count(), picked
+        return picked.bit_count()
 
     def packing_bound(remaining: list[int], allowed: int) -> int:
         used = 0
@@ -346,8 +345,7 @@ def minimal_weak_net(
                 cnt += 1
         return cnt
 
-    ub, ub_set = greedy_bound()
-    best = ub
+    best = greedy_bound()
 
     def search(remaining: list[int], chosen: int, allowed: int) -> None:
         nonlocal best

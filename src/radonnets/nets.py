@@ -17,7 +17,7 @@ every convex set of measure at least eps:
 The amplification gives a recursion depth of N(eps) = min { n :
 eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
 so subtrees are memoized on (support, level).  All threshold comparisons
-are exact, done on integer weights over a common denominator.
+are exact, made on the distribution's integer weights (`Distribution.mass`).
 
 The finished net is checked against every convex set of the space; a
 failure (only possible when the space is not separable or the supplied
@@ -34,14 +34,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
+from .exact import dense_sets
 from .space import (
     ConsistencyError,
     ConvexFamily,
     ConvexitySpace,
     Distribution,
     PointSet,
-    masked_sum,
-    weight_tables,
 )
 
 
@@ -78,10 +77,16 @@ def amplification_depth(eps: Fraction, helly: int) -> int:
         raise ValueError("the Helly number is at least 1")
     target = 1 - Fraction(1, helly)
     factor = 1 + Fraction(1, 2 * helly)
-    n = 0
-    while eps <= target:
-        eps *= factor
+    if eps > target:
+        return 0
+    # The least n with factor**n > target / eps, estimated from logarithms of
+    # the integer parts (eps may have thousands of digits), then settled exactly.
+    log_ratio = math.log(target.numerator * eps.denominator) - math.log(target.denominator * eps.numerator)
+    n = max(1, math.floor(log_ratio / math.log(factor)) + 1)
+    while eps * factor**n <= target:
         n += 1
+    while n > 1 and eps * factor ** (n - 1) > target:
+        n -= 1
     return n
 
 
@@ -133,20 +138,8 @@ def verify_weak_net(
     The counterexample, if any, is the unpierced dense set of maximum
     measure, canonically least on ties.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
-    nums, den = mu.integer_weights()
-    tables = weight_tables(nums)
-    lo_num, lo_den = eps.numerator, eps.denominator
-    worst: Optional[PointSet] = None
-    worst_w = -1
-    for c in space.sets:
-        if c.mask & points.mask:
-            continue
-        w = masked_sum(tables, c.mask)
-        if w * lo_den >= lo_num * den and w > worst_w:
-            worst, worst_w = c, w
+    missed = [c for c in dense_sets(space, mu, eps) if not c.mask & points.mask]
+    worst = max(missed, key=lambda c: mu.mass(c.mask), default=None)
     return NetCheck(worst is None, worst)
 
 
@@ -186,9 +179,6 @@ def build_weak_net(
     """
     from .invariants import helly_number, vc_dimension
 
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
     if mu.size != space.ground.size:
         raise ValueError("distribution size does not match the ground set")
     full = space.full.mask
@@ -198,13 +188,9 @@ def build_weak_net(
             raise ValueError(f"family member {s} is not a subset of the ground set")
     h = helly_number(family)[0] if helly is None else helly
     v = vc_dimension(family, space.ground.size)[0] if vc is None else vc
-    if h < 1:
-        raise ValueError("the Helly number is at least 1")
-    if v < 0:
-        raise ValueError("the VC dimension is non-negative")
 
     params = net_params(eps, h, v)
-    depth = params.depth
+    eps, depth = params.eps, params.depth
     # `recurse` takes one frame per level, below the frames already in use
     # and above the few (measure lookups, warnings) that a node opens.
     frame, room = sys._getframe(), sys.getrecursionlimit() - 50
@@ -218,9 +204,7 @@ def build_weak_net(
     eps_levels = [eps * grow**level for level in range(depth + 1)]
     deltas = [e / (4 * h * h) for e in eps_levels]
 
-    nums, den = mu.integer_weights()
-    tables = weight_tables(nums)
-    wsum = lambda m: masked_sum(tables, m)
+    wsum = mu.mass
     support0 = mu.support().mask
 
     memo: dict[tuple[int, int], tuple[NetNode, int]] = {}

@@ -6,9 +6,10 @@ intersection.  The ground set is capped at 64 points so point sets fit in a
 single machine word; families are kept in a canonical order (lexicographic
 by ascending index list), which makes every operation deterministic.
 
-Measures are `fractions.Fraction` values throughout.  Strict versus
-non-strict threshold comparisons are semantic in this package, so nothing
-is ever rounded.
+Measures are exact.  A `Distribution` also holds its Fraction weights as
+integers over a common denominator, and every threshold comparison uses
+them (`Distribution.mass`); strict versus non-strict comparisons are
+semantic here, so nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -222,17 +223,26 @@ class ConvexitySpace:
 
 @dataclass(frozen=True, slots=True)
 class Distribution:
-    """Probability distribution on a ground set; weights are exact rationals."""
+    """Probability distribution on a ground set; weights are exact rationals,
+    also held as integers `nums` over their common denominator `den`."""
 
     weights: tuple[Fraction, ...]
+    nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    den: int = field(init=False, compare=False, repr=False)
+    _tables: list[list[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ws = tuple(Fraction(w) for w in self.weights)
-        object.__setattr__(self, "weights", ws)
-        if any(w < 0 for w in ws):
+        den = lcm(*(w.denominator for w in ws))
+        nums = tuple(w.numerator * (den // w.denominator) for w in ws)
+        if any(n < 0 for n in nums):
             raise ValueError("weights must be non-negative")
-        if sum(ws) != 1:
+        if sum(nums) != den:
             raise ValueError("weights must sum to exactly 1")
+        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_tables", weight_tables(nums))
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -264,8 +274,11 @@ class Distribution:
 
     def integer_weights(self) -> tuple[tuple[int, ...], int]:
         """Weights over a common denominator, as integers."""
-        den = lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (den // w.denominator) for w in self.weights), den
+        return self.nums, self.den
+
+    def mass(self, mask: int) -> int:
+        """Measure of the points in `mask` (within the ground set), times `den`."""
+        return masked_sum(self._tables, mask)
 
 
 class SeparationCheck(NamedTuple):
@@ -422,14 +435,14 @@ def restrict_space(space: ConvexitySpace, trace: PointSet) -> ConvexitySpace:
 def measure(mu: Distribution, points: PointSet) -> Fraction:
     if points.mask >> mu.size:
         raise ValueError("point set exceeds the distribution's ground set")
-    return sum((mu.weights[i] for i in points.indices), start=Fraction(0))
+    return Fraction(mu.mass(points.mask), mu.den)
 
 
-# --- integer measure plumbing -------------------------------------------------
+# --- integer measure tables ---------------------------------------------------
 #
-# Hot paths compare measures thousands of times; they use weights over a
-# common denominator and byte-chunked subset-sum tables so that a measure
-# lookup is a handful of integer operations.
+# A `Distribution` builds these once; hot paths compare measures thousands
+# of times, and a byte-chunked subset-sum lookup is a handful of integer
+# operations.
 
 def weight_tables(nums: Sequence[int]) -> list[list[int]]:
     n = len(nums)
@@ -474,7 +487,7 @@ def format_space_file(name: str, space: ConvexitySpace) -> str:
 def parse_space_file(text: str) -> tuple[str, ConvexitySpace]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"space file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("space file must be a JSON object")
@@ -513,7 +526,7 @@ def format_distribution_file(mu: Distribution) -> str:
 def parse_distribution_file(text: str) -> Distribution:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"distribution file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("weights"), list):
         raise ValueError("distribution file needs a 'weights' array")

@@ -1,8 +1,9 @@
 """Shared corpus builders, naive reference oracles, and fixtures.
 
 The naive functions re-implement the library's quantities straight from
-their definitions, with none of the pruning or integer plumbing, so that
-the fast implementations have something independent to disagree with.
+their definitions, with none of the pruning or integer plumbing (measures
+are plain sums of Fraction weights, `fraction_measure`), so that the fast
+implementations have something independent to disagree with.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from radonnets import (
     Distribution,
     EmptyIntersection,
     PointSet,
-    amplification_depth,
     cylinder_space,
     halfspaces,
     lattice_convex_space,
     linear_extension_space,
-    measure,
     power_set_space,
     random_separable,
     subtree_space,
@@ -239,8 +238,15 @@ def naive_vc(family: ConvexFamily, ground_size: int) -> int:
     return best
 
 
+def fraction_measure(mu: Distribution, points: PointSet) -> Fraction:
+    """The measure as a sum of Fraction weights, without the integer tables."""
+    if points.mask >> mu.size:
+        raise ValueError("point set exceeds the distribution's ground set")
+    return sum((mu.weights[i] for i in points.indices), start=Fraction(0))
+
+
 def naive_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> list[PointSet]:
-    return [s for s in space.sets if measure(mu, s) >= eps]
+    return [s for s in space.sets if fraction_measure(mu, s) >= eps]
 
 
 def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> int:
@@ -289,6 +295,18 @@ def naive_chromatic(adjacency: tuple[int, ...]) -> int:
 # --- the net recursion in plain rationals --------------------------------------
 
 
+def reference_amplification_depth(eps: Fraction, helly: int) -> int:
+    """Levels until eps * (1 + 1/(2h))^n clears 1 - 1/h, one level at a time."""
+    eps = Fraction(eps)
+    target = 1 - Fraction(1, helly)
+    factor = 1 + Fraction(1, 2 * helly)
+    n = 0
+    while eps <= target:
+        eps *= factor
+        n += 1
+    return n
+
+
 class ZeroMassCondition(ValueError):
     """Conditioning on a set of measure zero."""
 
@@ -304,7 +322,7 @@ def piercing_point(space: ConvexitySpace, sets: Iterable[PointSet]) -> int:
 
 
 def conditional(mu: Distribution, points: PointSet) -> Distribution:
-    total = measure(mu, points)
+    total = fraction_measure(mu, points)
     if total == 0:
         raise ZeroMassCondition(f"{points} has measure zero")
     return Distribution(
@@ -323,7 +341,7 @@ def greedy_packing(family: ConvexFamily, mu: Distribution, delta: Fraction) -> C
     if delta < 0:
         raise ValueError("delta must be non-negative")
     sets = family.sets
-    dist = lambda a, b: measure(mu, a ^ b)
+    dist = lambda a, b: fraction_measure(mu, a ^ b)
     chosen: list[PointSet] = []
     for s in sets:
         if all(dist(s, a) > delta for a in chosen):
@@ -341,13 +359,13 @@ def reference_weak_net(
 ) -> PointSet:
     """The net recursion in plain rationals: no memo, no integer tables."""
     threshold = 1 - Fraction(1, helly)
-    b0 = [b for b in family.sets if measure(mu, b) > threshold]
+    b0 = [b for b in family.sets if fraction_measure(mu, b) > threshold]
     x0 = piercing_point(space, b0)
     points = {x0}
-    if amplification_depth(eps, helly) > 0:
+    if reference_amplification_depth(eps, helly) > 0:
         delta = eps / (4 * helly * helly)
         for a in greedy_packing(family, mu, delta):
-            if measure(mu, a) > 0:
+            if fraction_measure(mu, a) > 0:
                 child = reference_weak_net(
                     space,
                     family,

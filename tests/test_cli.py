@@ -142,6 +142,16 @@ def test_analyze_missing_file(capsys):
     assert "error:" in err
 
 
+def test_analyze_deeply_nested_space_file_exits_2(tmp_path, capsys):
+    """JSON nested past the recursion limit is bad input, not a traceback."""
+    space = tmp_path / "nested.json"
+    space.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "analyze", str(space))
+    assert code == 2
+    assert out == ""
+    assert "space file is not valid JSON" in err
+
+
 # --- net ------------------------------------------------------------------------
 
 
@@ -172,6 +182,15 @@ def test_net_rejects_size_mismatch(path3_file, tmp_path, capsys):
     code, _, err = run_cli(capsys, "net", path3_file, dist, "--eps", "1/2")
     assert code == 2
     assert "3 points" in err
+
+
+def test_net_deeply_nested_distribution_file_exits_2(path3_file, tmp_path, capsys):
+    dist = tmp_path / "nested.json"
+    dist.write_text("[" * 200_000)
+    code, out, err = run_cli(capsys, "net", path3_file, str(dist), "--eps", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "distribution file is not valid JSON" in err
 
 
 def test_net_consistency_failure_exit_code(tmp_path, capsys):

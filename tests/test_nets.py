@@ -34,6 +34,7 @@ from conftest import (
     conditional,
     greedy_packing,
     piercing_point,
+    reference_amplification_depth,
     reference_weak_net,
     seeded_distribution,
 )
@@ -68,6 +69,28 @@ def test_amplification_depth_zero_iff_past_target():
             assert (n == 0) == (eps > target)
             # After n doublings of the threshold the target is cleared.
             assert eps * (1 + Fraction(1, 2 * h)) ** n > target
+
+
+@pytest.mark.parametrize("helly", [1, 2, 3, 5, 17])
+def test_amplification_depth_matches_the_level_by_level_loop(helly):
+    """The logarithmic estimate, settled exactly, gives the loop's depth:
+    at the boundaries eps = target * factor**-k, just beside them, past
+    the target (eps > 1 - 1/h, depth 0) and with h = 1 (target 0)."""
+    target = 1 - Fraction(1, helly)
+    factor = 1 + Fraction(1, 2 * helly)
+    grid = [Fraction(num, 60) for num in range(1, 61)]
+    grid += [Fraction(1, 10**digits) for digits in (1, 2, 5, 20, 80)]
+    if helly > 1:
+        for k in range(8):
+            edge = target / factor**k
+            grid += [edge, edge * Fraction(10**9 - 1, 10**9), edge * Fraction(10**9 + 1, 10**9)]
+    for eps in grid:
+        assert amplification_depth(eps, helly) == reference_amplification_depth(eps, helly), eps
+
+
+def test_amplification_depth_of_a_thousand_digit_eps():
+    eps = Fraction(1, 10**1000)
+    assert amplification_depth(eps, 2) == reference_amplification_depth(eps, 2)
 
 
 def test_amplification_depth_validation():

@@ -23,3 +23,17 @@ def test_library_has_no_assertions():
                 found.append(f"{path.name}:{node.lineno}: assert")
     assert SOURCES
     assert found == []
+
+
+def test_integer_measure_tables_stay_in_space():
+    """`Distribution` owns its integer weights and tables; other modules
+    measure through `Distribution.mass`."""
+    found = []
+    for path in SOURCES:
+        if path.name == "space.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("weight_tables", "masked_sum"):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []

@@ -33,7 +33,7 @@ from radonnets import (
 )
 from radonnets.space import masked_sum, weight_tables
 
-from conftest import naive_hull
+from conftest import fraction_measure, naive_hull
 
 PATH3 = [("a", "b"), ("b", "c")]
 
@@ -342,7 +342,7 @@ def test_measure_additivity():
     for _ in range(50):
         a = PointSet(rng.randrange(1 << 12))
         b = PointSet(rng.randrange(1 << 12))
-        assert measure(mu, a | b) + measure(mu, a & b) == measure(mu, a) + measure(mu, b)
+        assert measure(mu, a | b) + measure(mu, a & b) == fraction_measure(mu, a) + fraction_measure(mu, b)
     with pytest.raises(ValueError):
         measure(mu, PointSet(1 << 12))
 
@@ -357,8 +357,19 @@ def test_weight_tables_match_fractions():
     den = sum(nums)
     for _ in range(200):
         m = rng.randrange(1 << 19)
-        assert Fraction(masked_sum(tables, m), den) == measure(mu, PointSet(m))
+        assert Fraction(masked_sum(tables, m), den) == fraction_measure(mu, PointSet(m))
     assert masked_sum(weight_tables([]), 0) == 0
+
+
+def test_mass_on_eight_table_chunks():
+    """64 points fill all eight byte-chunked tables; `mass` over `den`
+    matches the Fraction sum, the top chunk and the full set included."""
+    rng = random.Random(64)
+    mu = Distribution.from_integer_weights([rng.randint(1, 10**6) for _ in range(64)])
+    masks = [(1 << 64) - 1, 1 << 63, 0xFF << 56, 0] + [rng.randrange(1 << 64) for _ in range(200)]
+    for m in masks:
+        assert Fraction(mu.mass(m), mu.den) == fraction_measure(mu, PointSet(m))
+    assert mu.mass((1 << 64) - 1) == mu.den
 
 
 # --- file formats ------------------------------------------------------------------
