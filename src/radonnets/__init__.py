@@ -10,11 +10,9 @@ from .space import (
     GroundTooLarge,
     MissingEmptySet,
     MissingFullSet,
-    NotConvex,
     NotIntersectionClosed,
     PointSet,
     SpaceAxiomError,
-    convex_hull,
     format_distribution_file,
     format_space_file,
     halfspaces,
@@ -23,7 +21,6 @@ from .space import (
     measure,
     parse_distribution_file,
     parse_space_file,
-    restrict_space,
     size_cap,
     validate_space,
 )
@@ -31,7 +28,6 @@ from .invariants import (
     InvariantReport,
     analyze,
     helly_number,
-    is_radon_shattered,
     radon_number,
     vc_dimension,
 )
@@ -53,7 +49,6 @@ from .nets import (
     WeakNet,
     amplification_depth,
     build_weak_net,
-    net_params,
     verify_weak_net,
 )
 from .bounds import (
@@ -64,7 +59,6 @@ from .bounds import (
     NotIntersecting,
     TooLargeForExact,
     chromatic_lower_bound,
-    disjointness_graph,
     kleitman_union_bound,
     kneser_chromatic_number,
     kneser_embedding,

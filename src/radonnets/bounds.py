@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import Graph, TooLarge, _minimal_dense_sets, dense_sets, exact_chromatic_number
+from .exact import Graph, TooLarge, _minimal_dense_sets, exact_chromatic_number
 from .invariants import radon_number
 from .space import (
     ConsistencyError,
@@ -84,16 +84,6 @@ def _disjointness(sets: Sequence[PointSet]) -> Graph:
         if a.isdisjoint(b)
     ]
     return Graph.from_edges(len(sets), edges)
-
-
-def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> DisjointnessGraph:
-    """Full disjointness graph on every eps-dense convex set.
-
-    Quadratic in the number of dense sets; `chromatic_lower_bound` works
-    on the reduced graph instead.
-    """
-    sets = dense_sets(space, mu, eps)
-    return DisjointnessGraph(sets, _disjointness(sets))
 
 
 def chromatic_lower_bound(
@@ -161,10 +151,11 @@ class KneserGraph:
     graph: Graph
 
 
-def kneser_graph(n: int, k: int, cap: Optional[int] = None) -> KneserGraph:
+def kneser_graph(n: int, k: int) -> KneserGraph:
+    """KG_{n,k}; raises `TooLargeForExact` above the package size cap."""
     if n < 1 or k < 1 or k > n:
         raise ValueError("Kneser graph needs 1 <= k <= n")
-    limit = size_cap() if cap is None else cap
+    limit = size_cap()
     if math.comb(n, k) > limit:
         raise TooLargeForExact(f"KG_{{{n},{k}}} has {math.comb(n, k)} vertices, cap is {limit}")
     subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
@@ -209,12 +200,12 @@ def kleitman_union_bound(n: int, families: Sequence[Sequence[PointSet]]) -> Klei
     return KleitmanCheck(len(union) <= bound, len(union), bound)
 
 
-def kneser_quarter_check(n: int, cap: Optional[int] = None) -> bool:
+def kneser_quarter_check(n: int) -> bool:
     """Whether chi(KG_{n, n/4}) exceeds n/10, by exact computation."""
     if n < 4 or n % 4:
         raise ValueError("n must be a positive multiple of 4")
-    kg = kneser_graph(n, n // 4, cap)
-    chi = exact_chromatic_number(kg.graph, cap)
+    kg = kneser_graph(n, n // 4)
+    chi = exact_chromatic_number(kg.graph)
     return 10 * chi > n
 
 

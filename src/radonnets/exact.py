@@ -253,9 +253,8 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
 
 @dataclass(frozen=True, slots=True)
 class HittingSetInstance:
-    """Universe of candidate points and the dense sets each net must hit."""
+    """The dense sets every weak net must hit."""
 
-    universe: PointSet
     targets: tuple[PointSet, ...]
 
 
@@ -281,44 +280,26 @@ def _minimal_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) 
     return canonical_sets(PointSet(m) for m in kept)
 
 
-def hitting_instance(
-    space: ConvexitySpace,
-    mu: Distribution,
-    eps: Fraction,
-    within_support: bool = False,
-) -> HittingSetInstance:
+def hitting_instance(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> HittingSetInstance:
     """Hitting-set form of the minimum weak net problem.
 
     Targets are the inclusion-minimal dense sets (hitting those hits every
-    dense set).  Candidates default to the whole ground set; weak nets may
-    use zero-mass points.  `within_support` restricts candidates to the
-    support of mu.
+    dense set).  Every ground point is a candidate; weak nets may use
+    zero-mass points.
     """
-    universe = mu.support() if within_support else space.full
-    return HittingSetInstance(universe, _minimal_dense_sets(space, mu, eps))
+    return HittingSetInstance(_minimal_dense_sets(space, mu, eps))
 
 
-def minimal_weak_net(
-    space: ConvexitySpace,
-    mu: Distribution,
-    eps: Fraction,
-    within_support: bool = False,
-) -> tuple[int, PointSet]:
+def minimal_weak_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[int, PointSet]:
     """Exact minimum size of a weak eps-net, with a witness.
 
     A weak net must contain a point of every convex set of measure >= eps.
     Returns the minimum size and the lexicographically least optimal net.
-    Raises `ValueError` when some dense set avoids every candidate point
-    (possible only with `within_support`).
     """
-    inst = hitting_instance(space, mu, eps, within_support)
-    targets = [t.mask for t in inst.targets]
+    targets = [t.mask for t in hitting_instance(space, mu, eps).targets]
     if not targets:
         return 0, PointSet(0)
-    universe = inst.universe.mask
-    for t in targets:
-        if t & universe == 0:
-            raise ValueError(f"dense set {PointSet(t)} contains no candidate point")
+    full = space.full.mask
 
     def greedy_bound() -> int:
         remaining = list(targets)
@@ -326,7 +307,7 @@ def minimal_weak_net(
         while remaining:
             counts: dict[int, int] = {}
             for t in remaining:
-                m = t & universe & ~picked
+                m = t & ~picked
                 while m:
                     low = m & -m
                     counts[low.bit_length() - 1] = counts.get(low.bit_length() - 1, 0) + 1
@@ -366,7 +347,7 @@ def minimal_weak_net(
             # Covers containing v were all explored above; ban it below.
             allowed &= ~(1 << v)
 
-    search(targets, 0, universe)
+    search(targets, 0, full)
     del search  # breaks the closure's reference to itself
 
     # Second pass: reconstruct the lexicographically least net of the
@@ -380,12 +361,11 @@ def minimal_weak_net(
             return list(chosen)
         if len(chosen) == size:
             return None
-        if packing_bound(remaining, universe) > size - len(chosen):
+        if packing_bound(remaining, full) > size - len(chosen):
             return None
         pool = 0
         for t in remaining:
             pool |= t
-        pool &= universe
         m = pool >> start << start
         while m:
             low = m & -m

@@ -2,8 +2,11 @@
 
 Five structured families (power sets, cylinder sets on the cube,
 subtrees of a tree, convex lattice subsets of a 2D grid, linear-order
-extensions of a poset) plus a seeded random family built by closing
-random half-space pairs under intersection.  All generators are
+extensions of a poset) plus a seeded random family.  In a separable
+space every convex set is the intersection of the half-spaces that
+contain it, so the separable families whose half-spaces are known up
+front (cylinders, subtrees, posets, random) are built as the
+intersection closure of their half-space pairs.  All generators are
 deterministic: identical parameters give identical spaces, point for
 point and set for set.
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import permutations, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .space import (
@@ -41,28 +44,28 @@ def power_set_space(m: int) -> ConvexitySpace:
 def cylinder_space(n: int) -> ConvexitySpace:
     """Subcubes of {0,1}^n (coordinates fixed to a pattern) plus the empty set.
 
-    Point i is the n-bit binary string of i; there are exactly 3^n + 1
-    convex sets since distinct patterns match distinct string sets.
+    Point i is the n-bit binary string of i.  The half-spaces fix one
+    coordinate to 0 or to 1, and their intersections are the 3^n
+    subcubes and the empty set.
     """
     if not 1 <= n <= 6:
         raise ValueError("cylinder space needs 1 <= n <= 6")
     labels = tuple("".join(bits) for bits in product("01", repeat=n))
-    masks = {0}
-    strings = [tuple(int(b) for b in lab) for lab in labels]
-    for pattern in product((0, 1, None), repeat=n):
-        mask = 0
-        for idx, s in enumerate(strings):
-            if all(p is None or p == c for p, c in zip(pattern, s)):
-                mask |= 1 << idx
-        masks.add(mask)
-    return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))
+    basis = [
+        PointSet.from_indices(i for i, lab in enumerate(labels) if lab[c] == value)
+        for c in range(n)
+        for value in "01"
+    ]
+    return intersection_closure(GroundSet(labels), basis)
 
 
 def subtree_space(edges: Iterable[tuple[str, str]]) -> ConvexitySpace:
     """Connected vertex sets of a tree plus the empty set.
 
     Vertices are the sorted edge endpoints; a path on k vertices yields
-    exactly k(k+1)/2 + 1 convex sets.
+    exactly k(k+1)/2 + 1 convex sets.  The half-spaces are the two sides
+    of each edge, and a vertex set is connected exactly when it is the
+    intersection of the sides that contain it.
     """
     edge_list = [(str(a), str(b)) for a, b in edges]
     labels = sorted({v for e in edge_list for v in e})
@@ -82,25 +85,24 @@ def subtree_space(edges: Iterable[tuple[str, str]]) -> ConvexitySpace:
         adj[idx[b]] |= 1 << idx[a]
     full = (1 << n) - 1
 
-    def connected(mask: int) -> bool:
-        start = mask & -mask
-        comp = start
-        frontier = start
+    def side(start: int, other: int) -> int:
+        """Vertices reachable from `start` without passing `other`."""
+        comp = frontier = 1 << start
         while frontier:
             nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & mask & ~comp
+            for i in PointSet(frontier):
+                nxt |= adj[i]
+            frontier = nxt & ~comp & ~(1 << other)
             comp |= frontier
-        return comp == mask
+        return comp
 
-    if not connected(full):
-        raise ValueError("the edges do not form a connected tree")
-    masks = [m for m in range(1 << n) if m == 0 or connected(m)]
-    return ConvexitySpace(GroundSet(tuple(labels)), ConvexFamily.from_masks(masks))
+    basis = []
+    for a, b in edge_list:
+        near, far = side(idx[a], idx[b]), side(idx[b], idx[a])
+        if near | far != full:
+            raise ValueError("the edges do not form a connected tree")
+        basis += [PointSet(near), PointSet(far)]
+    return intersection_closure(GroundSet(tuple(labels)), basis)
 
 
 # --- integer planar hulls for the lattice generator ---------------------------
@@ -190,7 +192,9 @@ def linear_extension_space(
     like "a<b<c".  For every partial order P refining the base, the
     extensions of P form a convex set; together with the empty set these
     are intersection closed, since joining two compatible refinements is
-    again a refinement and incompatible ones share no extension.
+    again a refinement and incompatible ones share no extension.  The
+    half-spaces are "a before b" for each ordered pair, and the extensions
+    of P are the intersection of those for the pairs of P.
     """
     elems = tuple(str(e) for e in elements)
     k = len(elems)
@@ -204,55 +208,19 @@ def linear_extension_space(
         if a not in idx or b not in idx:
             raise ValueError(f"relation ({a!r}, {b!r}) mentions an unknown element")
         base.add((idx[a], idx[b]))
-
-    def closure(pairs: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-        out = set(pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(out):
-                for (c, d) in list(out):
-                    if b == c and (a, d) not in out:
-                        out.add((a, d))
-                        changed = True
-        return frozenset(out)
-
-    base_closed = closure(base)
-    if any(a == b for a, b in base_closed):
+    perms = [p for p in permutations(range(k)) if all(p.index(a) < p.index(b) for a, b in base)]
+    if not perms:
         raise ValueError("the base relations contain a cycle")
-
-    def extensions(pairs: frozenset[tuple[int, int]]) -> int:
-        mask = 0
-        for pos, perm in enumerate(perms):
-            rank = {e: r for r, e in enumerate(perm)}
-            if all(rank[a] < rank[b] for a, b in pairs):
-                mask |= 1 << pos
-        return mask
-
-    perms = [p for p in permutations(range(k)) if all(
-        p.index(a) < p.index(b) for a, b in base_closed
-    )]
     if len(perms) > 64:
         raise GroundTooLarge(f"{len(perms)} linear extensions exceed the 64-point cap")
     labels = tuple("<".join(elems[i] for i in perm) for perm in perms)
-
-    masks = {0}
-    seen_posets = {base_closed}
-    frontier = [base_closed]
-    masks.add(extensions(base_closed))
-    while frontier:
-        nxt = []
-        for poset in frontier:
-            for a in range(k):
-                for b in range(k):
-                    if a != b and (a, b) not in poset and (b, a) not in poset:
-                        refined = closure(set(poset) | {(a, b)})
-                        if refined not in seen_posets:
-                            seen_posets.add(refined)
-                            masks.add(extensions(refined))
-                            nxt.append(refined)
-        frontier = nxt
-    return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))
+    basis = [
+        PointSet.from_indices(i for i, p in enumerate(perms) if p.index(a) < p.index(b))
+        for a in range(k)
+        for b in range(k)
+        if a != b
+    ]
+    return intersection_closure(GroundSet(labels), basis)
 
 
 def random_separable(points: int, seed: int) -> ConvexitySpace:

@@ -65,16 +65,12 @@ def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
     return best
 
 
-def is_radon_shattered(space: ConvexitySpace, points: PointSet) -> bool:
-    """Every bipartition of `points` has hulls with empty intersection.
+def _shattered(hc: _HullCache, y: int) -> bool:
+    """Every bipartition of `y` has hulls with empty intersection.
 
     The hull of the empty part is empty, so one-sided splits are fine and
     the empty set and singletons are trivially shattered.
     """
-    return _shattered(_HullCache(space), points.mask)
-
-
-def _shattered(hc: _HullCache, y: int) -> bool:
     if y == 0 or y & (y - 1) == 0:
         return True
     # Fix the lowest point into part one so each unordered split comes up once.
@@ -187,7 +183,7 @@ def analyze(space: ConvexitySpace) -> InvariantReport:
     as `ConsistencyError` rather than a wrong answer.
     """
     radon, radon_wit = radon_number(space)
-    half = halfspaces(space, proper=False)
+    half = halfspaces(space)
     helly, helly_wit = helly_number(half)
     vc, vc_wit = vc_dimension(half, space.ground.size)
     sep = is_separable(space).separable

@@ -64,7 +64,6 @@ class NetParams:
     helly: int
     vc: int
     delta: Fraction
-    eps_next: Fraction
     depth: int
 
 
@@ -90,7 +89,7 @@ def amplification_depth(eps: Fraction, helly: int) -> int:
     return n
 
 
-def net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
+def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
     eps = Fraction(eps)
     if vc < 0:
         raise ValueError("the VC dimension is non-negative")
@@ -100,7 +99,6 @@ def net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
         helly=helly,
         vc=vc,
         delta=eps / (4 * helly * helly),
-        eps_next=eps * (1 + Fraction(1, 2 * helly)),
         depth=depth,
     )
 
@@ -189,7 +187,7 @@ def build_weak_net(
     h = helly_number(family)[0] if helly is None else helly
     v = vc_dimension(family, space.ground.size)[0] if vc is None else vc
 
-    params = net_params(eps, h, v)
+    params = _net_params(eps, h, v)
     eps, depth = params.eps, params.depth
     # `recurse` takes one frame per level, below the frames already in use
     # and above the few (measure lookups, warnings) that a node opens.

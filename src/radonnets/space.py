@@ -58,10 +58,6 @@ class GroundTooLarge(ValueError):
     pass
 
 
-class NotConvex(ValueError):
-    pass
-
-
 class ConsistencyError(RuntimeError):
     """A mathematical guarantee the package relies on failed at runtime."""
 
@@ -138,8 +134,7 @@ class PointSet:
 
 @dataclass(frozen=True, slots=True)
 class GroundSet:
-    """Ordered, labelled ground set.  Size 0 is allowed only so that
-    restriction to the empty convex set stays well defined."""
+    """Ordered, labelled ground set; it may be empty."""
 
     labels: tuple[str, ...]
 
@@ -272,10 +267,6 @@ class Distribution:
     def support(self) -> PointSet:
         return PointSet.from_indices(i for i, w in enumerate(self.weights) if w > 0)
 
-    def integer_weights(self) -> tuple[tuple[int, ...], int]:
-        """Weights over a common denominator, as integers."""
-        return self.nums, self.den
-
     def mass(self, mask: int) -> int:
         """Measure of the points in `mask` (within the ground set), times `den`."""
         return masked_sum(self._tables, mask)
@@ -372,25 +363,12 @@ class _HullCache:
         return acc
 
 
-def convex_hull(space: ConvexitySpace, points: PointSet) -> PointSet:
-    """Intersection of every convex set containing `points`."""
-    if points.mask & ~space.full.mask:
-        raise ValueError(f"{points} is not a subset of the ground set")
-    return PointSet(_HullCache(space).hull(points.mask))
-
-
-def halfspaces(space: ConvexitySpace, proper: bool = False) -> ConvexFamily:
-    """Convex sets whose complement is also convex.
-
-    With `proper=True` the empty and full sets (always half-spaces by the
-    literal definition) are dropped.
-    """
+def halfspaces(space: ConvexitySpace) -> ConvexFamily:
+    """Convex sets whose complement is also convex, the empty and full
+    sets included."""
     full = space.full.mask
     present = {s.mask for s in space.sets}
-    out = [s for s in space.sets if (full ^ s.mask) in present]
-    if proper:
-        out = [s for s in out if s.mask not in (0, full)]
-    return ConvexFamily(tuple(out))
+    return ConvexFamily(tuple(s for s in space.sets if (full ^ s.mask) in present))
 
 
 def is_separable(space: ConvexitySpace) -> SeparationCheck:
@@ -399,7 +377,7 @@ def is_separable(space: ConvexitySpace) -> SeparationCheck:
     The counterexample, if any, is the canonically first violating pair.
     """
     full = space.full.mask
-    half = halfspaces(space, proper=False).masks()
+    half = halfspaces(space).masks()
     for c in space.sets:
         cm = c.mask
         covered = 0
@@ -410,26 +388,6 @@ def is_separable(space: ConvexitySpace) -> SeparationCheck:
         if missing:
             return SeparationCheck(False, (c, (missing & -missing).bit_length() - 1))
     return SeparationCheck(True, None)
-
-
-def restrict_space(space: ConvexitySpace, trace: PointSet) -> ConvexitySpace:
-    """Sub-space induced on a convex set: members are intersections with it."""
-    present = {s.mask for s in space.sets}
-    if trace.mask not in present:
-        raise NotConvex(f"{trace} is not a convex set of the space")
-    old_indices = trace.indices
-    position = {old: new for new, old in enumerate(old_indices)}
-    ground = GroundSet(space.ground.labels_of(trace))
-    masks = set()
-    for s in space.sets:
-        m = s.mask & trace.mask
-        nm = 0
-        while m:
-            low = m & -m
-            nm |= 1 << position[low.bit_length() - 1]
-            m ^= low
-        masks.add(nm)
-    return ConvexitySpace(ground, ConvexFamily.from_masks(masks))
 
 
 def measure(mu: Distribution, points: PointSet) -> Fraction:

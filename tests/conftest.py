@@ -11,17 +11,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product
 from operator import and_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import pytest
 
 from radonnets import (
     ConvexFamily,
     ConvexitySpace,
+    DisjointnessGraph,
     Distribution,
     EmptyIntersection,
+    Graph,
+    GroundSet,
+    GroundTooLarge,
     PointSet,
     cylinder_space,
     halfspaces,
@@ -249,6 +253,14 @@ def naive_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> 
     return [s for s in space.sets if fraction_measure(mu, s) >= eps]
 
 
+def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> DisjointnessGraph:
+    """Disjointness graph on every eps-dense convex set, unreduced: the
+    reference for the chromatic certificate's reduction to minimal sets."""
+    sets = naive_dense_sets(space, mu, eps)
+    edges = [(i, j) for i, j in combinations(range(len(sets)), 2) if sets[i].isdisjoint(sets[j])]
+    return DisjointnessGraph(tuple(sets), Graph.from_edges(len(sets), edges))
+
+
 def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> int:
     targets = [s.mask for s in naive_dense_sets(space, mu, eps)]
     if not targets:
@@ -375,3 +387,113 @@ def reference_weak_net(
                 )
                 points.update(child.indices)
     return PointSet.from_indices(points)
+
+
+# --- generator families enumerated from their definitions ----------------------
+
+
+def reference_cylinder_space(n: int) -> ConvexitySpace:
+    """Every pattern in {0, 1, *}^n matched against every n-bit string."""
+    if not 1 <= n <= 6:
+        raise ValueError("cylinder space needs 1 <= n <= 6")
+    labels = tuple("".join(bits) for bits in product("01", repeat=n))
+    masks = {0}
+    for pattern in product("01*", repeat=n):
+        masks.add(
+            sum(1 << i for i, lab in enumerate(labels) if all(p in ("*", c) for p, c in zip(pattern, lab)))
+        )
+    return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))
+
+
+def reference_subtree_space(edges: Iterable[tuple[str, str]]) -> ConvexitySpace:
+    """Every connected vertex subset of the tree, by scanning all 2^n."""
+    edge_list = [(str(a), str(b)) for a, b in edges]
+    labels = sorted({v for e in edge_list for v in e})
+    n = len(labels)
+    if n < 2:
+        raise ValueError("a tree needs at least one edge")
+    if n > 16:
+        raise ValueError("subtree space is capped at 16 vertices")
+    if len(edge_list) != n - 1:
+        raise ValueError(f"a tree on {n} vertices has {n - 1} edges, got {len(edge_list)}")
+    idx = {v: i for i, v in enumerate(labels)}
+    adj = [0] * n
+    for a, b in edge_list:
+        if a == b:
+            raise ValueError(f"self-loop at {a!r}")
+        adj[idx[a]] |= 1 << idx[b]
+        adj[idx[b]] |= 1 << idx[a]
+
+    def connected(mask: int) -> bool:
+        comp = frontier = mask & -mask
+        while frontier:
+            nxt = 0
+            for i in PointSet(frontier):
+                nxt |= adj[i]
+            frontier = nxt & mask & ~comp
+            comp |= frontier
+        return comp == mask
+
+    if not connected((1 << n) - 1):
+        raise ValueError("the edges do not form a connected tree")
+    masks = [m for m in range(1 << n) if m == 0 or connected(m)]
+    return ConvexitySpace(GroundSet(tuple(labels)), ConvexFamily.from_masks(masks))
+
+
+def reference_linear_extension_space(
+    elements: Sequence[str], relations: Iterable[tuple[str, str]] = ()
+) -> ConvexitySpace:
+    """The extensions of every partial order refining the base, found by
+    refining one incomparable pair at a time from the base order."""
+    elems = tuple(str(e) for e in elements)
+    k = len(elems)
+    if not 1 <= k <= 5:
+        raise ValueError("poset space needs 1 to 5 elements")
+    if len(set(elems)) != k:
+        raise ValueError("poset elements must be distinct")
+    idx = {e: i for i, e in enumerate(elems)}
+    base = set()
+    for a, b in relations:
+        if a not in idx or b not in idx:
+            raise ValueError(f"relation ({a!r}, {b!r}) mentions an unknown element")
+        base.add((idx[a], idx[b]))
+
+    def closure(pairs: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
+        out = set(pairs)
+        changed = True
+        while changed:
+            changed = False
+            for a, b in list(out):
+                for c, d in list(out):
+                    if b == c and (a, d) not in out:
+                        out.add((a, d))
+                        changed = True
+        return frozenset(out)
+
+    base_closed = closure(base)
+    if any(a == b for a, b in base_closed):
+        raise ValueError("the base relations contain a cycle")
+    perms = [p for p in permutations(range(k)) if all(p.index(a) < p.index(b) for a, b in base_closed)]
+    if len(perms) > 64:
+        raise GroundTooLarge(f"{len(perms)} linear extensions exceed the 64-point cap")
+
+    def extensions(pairs: frozenset[tuple[int, int]]) -> int:
+        return sum(1 << i for i, p in enumerate(perms) if all(p.index(a) < p.index(b) for a, b in pairs))
+
+    masks = {0, extensions(base_closed)}
+    seen = {base_closed}
+    frontier = [base_closed]
+    while frontier:
+        nxt = []
+        for poset in frontier:
+            for a in range(k):
+                for b in range(k):
+                    if a != b and (a, b) not in poset and (b, a) not in poset:
+                        refined = closure(set(poset) | {(a, b)})
+                        if refined not in seen:
+                            seen.add(refined)
+                            masks.add(extensions(refined))
+                            nxt.append(refined)
+        frontier = nxt
+    labels = tuple("<".join(elems[i] for i in perm) for perm in perms)
+    return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))

@@ -25,7 +25,6 @@ from radonnets import (
     build_weak_net,
     chromatic_lower_bound,
     cylinder_space,
-    disjointness_graph,
     exact_chromatic_number,
     halfspaces,
     kleitman_union_bound,
@@ -40,7 +39,7 @@ from radonnets import (
     verify_weak_net,
 )
 
-from conftest import corpus_distributions, tree_edge_lists
+from conftest import corpus_distributions, disjointness_graph, tree_edge_lists
 
 EPSILONS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 
@@ -175,13 +174,14 @@ def test_criterion_4_soundness_sandwich(sweep):
     )
 
 
-def test_criterion_5_kneser_chromatic_numbers():
+def test_criterion_5_kneser_chromatic_numbers(monkeypatch):
     t0 = time.perf_counter()
     failures = []
+    monkeypatch.setenv("RADON_NETS_CAP", "70")
     for n in range(2, 9):
         for k in range(1, n + 1):
-            kg = kneser_graph(n, k, cap=70)
-            chi = exact_chromatic_number(kg.graph, cap=70)
+            kg = kneser_graph(n, k)
+            chi = exact_chromatic_number(kg.graph)
             expected = n - 2 * k + 2 if n >= 2 * k else 1
             if chi != expected:
                 failures.append((n, k, chi, expected))

@@ -11,7 +11,6 @@ from radonnets import (
     TooLargeForExact,
     chromatic_lower_bound,
     cylinder_space,
-    disjointness_graph,
     exact_chromatic_number,
     kleitman_union_bound,
     kneser_chromatic_number,
@@ -26,7 +25,7 @@ from radonnets import (
     subtree_space,
 )
 
-from conftest import seeded_distribution
+from conftest import disjointness_graph, seeded_distribution
 
 
 # --- disjointness graphs and chromatic certificates ---------------------------------
@@ -139,16 +138,18 @@ def test_kneser_chromatic_formula_small():
         kneser_chromatic_number(3, 4)
 
 
-def test_kneser_graph_cap():
+def test_kneser_graph_cap(monkeypatch):
     with pytest.raises(TooLargeForExact):
         kneser_graph(10, 3)
-    kg = kneser_graph(10, 3, cap=120)
+    monkeypatch.setenv("RADON_NETS_CAP", "120")
+    kg = kneser_graph(10, 3)
     assert len(kg.subsets) == 120
 
 
-def test_kneser_quarter_check():
+def test_kneser_quarter_check(monkeypatch):
     assert kneser_quarter_check(4)
-    assert kneser_quarter_check(8, cap=70)
+    monkeypatch.setenv("RADON_NETS_CAP", "70")
+    assert kneser_quarter_check(8)
     with pytest.raises(ValueError):
         kneser_quarter_check(6)
     with pytest.raises(ValueError):

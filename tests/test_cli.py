@@ -2,12 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import radonnets
 from radonnets import (
     Distribution,
     GroundSet,
@@ -307,6 +311,21 @@ def test_kneser_argument_errors(capsys):
     code, _, err = run_cli(capsys, "kneser", "--n", "5")
     assert code == 2
     assert "--k" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    """`python -m radonnets.cli` reaches `main`, like the installed script."""
+    src = str(Path(radonnets.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "radonnets.cli", "kneser", "--n", "5", "--k", "2"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"]["formula_chromatic"] == 3
 
 
 # --- repeated calls ---------------------------------------------------------------

@@ -113,19 +113,11 @@ def test_hitting_instance_minimal_targets():
         inst = hitting_instance(sp, mu, eps)
         dense = dense_sets(sp, mu, eps)
         targets = list(inst.targets)
-        assert inst.universe == sp.full
         for t in targets:
             assert measure(mu, t) >= eps
             assert not any(u.mask != t.mask and u.issubset(t) for u in targets)
         for d in dense:
             assert any(t.issubset(d) for t in targets)
-
-
-def test_hitting_instance_within_support():
-    sp = power_set_space(3)
-    mu = Distribution.uniform_on(3, PointSet.from_indices([0, 2]))
-    inst = hitting_instance(sp, mu, Fraction(1, 2), within_support=True)
-    assert inst.universe.indices == (0, 2)
 
 
 # --- exact minimum nets -------------------------------------------------------------
@@ -183,12 +175,3 @@ def test_minimum_net_witness_is_lex_least():
             if all(any(i in PointSet(t) for i in c) for t in targets)
         ]
         assert witness == min(optima, key=lambda p: p.sort_key)
-
-
-def test_minimum_net_within_support():
-    sp = power_set_space(3)
-    mu = Distribution.uniform_on(3, PointSet.from_indices([1]))
-    unrestricted = minimal_weak_net(sp, mu, Fraction(1, 2))
-    restricted = minimal_weak_net(sp, mu, Fraction(1, 2), within_support=True)
-    assert unrestricted == (1, PointSet.from_indices([1]))
-    assert restricted == (1, PointSet.from_indices([1]))

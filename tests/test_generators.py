@@ -1,10 +1,11 @@
+import random
+
 import pytest
 
 from radonnets import (
     GeneratorSpec,
     GroundTooLarge,
     PointSet,
-    convex_hull,
     cylinder_space,
     is_separable,
     lattice_convex_space,
@@ -13,6 +14,15 @@ from radonnets import (
     random_separable,
     subtree_space,
     validate_space,
+)
+from radonnets.space import _HullCache
+
+from conftest import (
+    POSET_BASES,
+    reference_cylinder_space,
+    reference_linear_extension_space,
+    reference_subtree_space,
+    tree_edge_lists,
 )
 
 
@@ -89,7 +99,7 @@ def test_lattice_space():
     assert sp.ground.labels[:4] == ("0,0", "1,0", "2,0", "0,1")
     assert len(sp.convex) == 214
     diag = PointSet.from_indices([0, 4, 8])
-    assert convex_hull(sp, PointSet.from_indices([0, 8])) == diag
+    assert _HullCache(sp).hull(PointSet.from_indices([0, 8]).mask) == diag.mask
     assert diag in sp.convex
     assert PointSet.from_indices([0, 8]) not in sp.convex
     assert is_separable(sp).separable
@@ -141,6 +151,74 @@ def test_poset_space_validation():
         linear_extension_space(("a", "b"), [("a", "b"), ("b", "a")])
     with pytest.raises(GroundTooLarge):
         linear_extension_space(("a", "b", "c", "d", "e"))
+
+
+def _outcome(build, *args):
+    """Labels and sets of the built space, or the error's type and message."""
+    try:
+        space = build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return space.ground.labels, space.convex.masks()
+
+
+def _random_relations(rng: random.Random, elements: list[str]) -> list[tuple[str, str]]:
+    """Up to six relations, rarely one with an unknown element.  Half the
+    lists may hold cycles and self-relations; the other half point up the
+    element order, so they are acyclic."""
+    pool = elements + (["z"] if rng.random() < 0.05 else [])
+    if not pool:
+        return []
+    relations = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(0, 6))]
+    if rng.random() < 0.5:
+        relations = [(a, b) if a < b else (b, a) for a, b in relations if a != b]
+    return relations
+
+
+def _random_edges(rng: random.Random) -> list[tuple[str, str]]:
+    """A labelled tree on 1..11 vertices; in five cases of eight an edge
+    is dropped, added, rewired, repeated or made a self-loop."""
+    n = rng.randint(1, 11)
+    verts = rng.sample([f"v{i}" for i in range(20)], n)
+    edges = [(verts[i], verts[rng.randrange(i)]) for i in range(1, n)]
+    broken = rng.randrange(8)
+    if broken == 0 and edges:
+        edges.pop(rng.randrange(len(edges)))
+    elif broken == 1:
+        edges.append((rng.choice(verts), rng.choice(verts)))
+    elif broken == 2 and edges:
+        edges[rng.randrange(len(edges))] = (rng.choice(verts), rng.choice(verts))
+    elif broken == 3 and len(edges) > 1:
+        edges[0] = edges[1]
+    elif broken == 4 and edges:
+        edges[0] = (edges[0][0], edges[0][0])
+    rng.shuffle(edges)
+    return [e[::-1] if rng.random() < 0.5 else e for e in edges]
+
+
+def test_generators_match_their_enumerations():
+    """Cylinders, subtrees and posets, built from half-spaces, equal the
+    families enumerated from their definitions, and fail with the same
+    error on the same bad input."""
+    for n in range(8):
+        assert _outcome(cylinder_space, n) == _outcome(reference_cylinder_space, n)
+    for _, edges in tree_edge_lists():
+        assert _outcome(subtree_space, edges) == _outcome(reference_subtree_space, edges)
+    for elements, relations in POSET_BASES.values():
+        assert _outcome(linear_extension_space, elements, relations) == _outcome(
+            reference_linear_extension_space, elements, relations
+        )
+    rng = random.Random(4508)
+    for _ in range(300):
+        edges = _random_edges(rng)
+        assert _outcome(subtree_space, edges) == _outcome(reference_subtree_space, edges)
+        elements = [chr(ord("a") + i) for i in range(rng.randint(0, 5))]
+        if len(elements) > 1 and rng.random() < 0.05:
+            elements[1] = elements[0]
+        relations = _random_relations(rng, elements)
+        assert _outcome(linear_extension_space, elements, relations) == _outcome(
+            reference_linear_extension_space, elements, relations
+        )
 
 
 def test_random_separable_is_deterministic():

@@ -14,7 +14,6 @@ from radonnets import (
     halfspaces,
     helly_number,
     intersection_closure,
-    is_radon_shattered,
     power_set_space,
     radon_number,
     random_separable,
@@ -22,6 +21,8 @@ from radonnets import (
     validate_space,
     vc_dimension,
 )
+from radonnets.invariants import _shattered
+from radonnets.space import _HullCache
 
 from conftest import (
     naive_helly,
@@ -78,11 +79,11 @@ def test_radon_witness_examples():
 
 def test_shattered_examples():
     p3 = power_set_space(3)
-    assert is_radon_shattered(p3, p3.full)
+    assert _shattered(_HullCache(p3), p3.full.mask)
     path3 = subtree_space([("a", "b"), ("b", "c")])
-    assert is_radon_shattered(path3, PointSet.from_indices([0, 2]))
+    assert _shattered(_HullCache(path3), 0b101)
     # Splitting {a,b,c} into {a,c} and {b} puts b in both hulls.
-    assert not is_radon_shattered(path3, path3.full)
+    assert not _shattered(_HullCache(path3), path3.full.mask)
 
 
 def test_helly_of_cosingletons():
@@ -261,7 +262,8 @@ def test_subsets_of_shattered_sets_are_shattered():
         idx = list(witness.indices)
         for _ in range(5):
             sub = PointSet.from_indices(i for i in idx if rng.random() < 0.6)
-            assert is_radon_shattered(sp, sub)
+            assert _shattered(_HullCache(sp), sub.mask)
+            assert naive_shattered(sp, frozenset(sub.indices))
 
 
 def test_analyze_bounds_on_separable_spaces():
@@ -294,4 +296,5 @@ def test_antichain_radon_witness_is_shattered():
     space = linear_extension_space(("a", "b", "c", "d"))
     r, witness = radon_number(space)
     assert r == 5
-    assert is_radon_shattered(space, witness)
+    assert _shattered(_HullCache(space), witness.mask)
+    assert naive_shattered(space, frozenset(witness.indices))

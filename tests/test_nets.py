@@ -19,7 +19,6 @@ from radonnets import (
     halfspaces,
     measure,
     minimal_weak_net,
-    net_params,
     power_set_space,
     random_separable,
     subtree_space,
@@ -27,7 +26,7 @@ from radonnets import (
     verify_weak_net,
 )
 from radonnets.invariants import helly_number, vc_dimension
-from radonnets.nets import size_bound_value
+from radonnets.nets import _net_params, size_bound_value
 
 from conftest import (
     ZeroMassCondition,
@@ -103,9 +102,8 @@ def test_amplification_depth_validation():
 
 
 def test_net_params_fields():
-    p = net_params(Fraction(1, 4), 2, 3)
+    p = _net_params(Fraction(1, 4), 2, 3)
     assert p.delta == Fraction(1, 64)
-    assert p.eps_next == Fraction(5, 16)
     assert p.depth == 4
     assert (p.helly, p.vc) == (2, 3)
 

@@ -37,3 +37,24 @@ def test_integer_measure_tables_stay_in_space():
             if name in ("weight_tables", "masked_sum"):
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def test_library_imports_are_used():
+    """Every name a module imports is referenced in it; `__init__.py`,
+    which imports to re-export, is exempt."""
+    found = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno}: {name}")
+    assert SOURCES
+    assert found == []

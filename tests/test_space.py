@@ -11,11 +11,9 @@ from radonnets import (
     GroundTooLarge,
     MissingEmptySet,
     MissingFullSet,
-    NotConvex,
     NotIntersectionClosed,
     PointSet,
     SpaceAxiomError,
-    convex_hull,
     format_distribution_file,
     format_space_file,
     halfspaces,
@@ -26,12 +24,11 @@ from radonnets import (
     parse_space_file,
     power_set_space,
     random_separable,
-    restrict_space,
     size_cap,
     subtree_space,
     validate_space,
 )
-from radonnets.space import masked_sum, weight_tables
+from radonnets.space import _HullCache, masked_sum, weight_tables
 
 from conftest import fraction_measure, naive_hull
 
@@ -183,9 +180,9 @@ def test_intersection_closure_contains_basis():
 
 def test_hull_examples():
     p3 = power_set_space(3)
-    assert convex_hull(p3, PointSet.from_indices([0, 2])).indices == (0, 2)
+    assert PointSet(_HullCache(p3).hull(0b101)).indices == (0, 2)
     path = subtree_space(PATH3)
-    assert convex_hull(path, PointSet.from_indices([0, 2])) == path.full
+    assert _HullCache(path).hull(0b101) == path.full.mask
 
 
 def test_hull_properties():
@@ -197,17 +194,13 @@ def test_hull_properties():
         full = sp.full.mask
         y = PointSet(rng.randrange(full + 1))
         z = PointSet(y.mask | rng.randrange(full + 1))
-        hy = convex_hull(sp, y)
+        hulls = _HullCache(sp)
+        hy = PointSet(hulls.hull(y.mask))
         assert y.issubset(hy)
-        assert hy.issubset(convex_hull(sp, z))
-        assert convex_hull(sp, hy) == hy
+        assert hy.issubset(PointSet(hulls.hull(z.mask)))
+        assert hulls.hull(hy.mask) == hy.mask
         assert hy.mask in members
         assert hy.indices == tuple(sorted(naive_hull(sp, frozenset(y.indices))))
-
-
-def test_hull_rejects_outside_points():
-    with pytest.raises(ValueError):
-        convex_hull(power_set_space(2), PointSet(0b100))
 
 
 # --- half-spaces and separation ----------------------------------------------------
@@ -215,10 +208,8 @@ def test_hull_rejects_outside_points():
 
 def test_halfspaces_of_path():
     path = subtree_space(PATH3)
-    proper = halfspaces(path, proper=True)
-    assert [s.indices for s in proper.sets] == [(0,), (0, 1), (1, 2), (2,)]
     everything = halfspaces(path)
-    assert len(everything) == 6
+    assert [s.indices for s in everything.sets] == [(), (0,), (0, 1), (0, 1, 2), (1, 2), (2,)]
 
 
 def test_halfspaces_closed_under_complement():
@@ -266,38 +257,6 @@ def test_random_separable_spaces_are_separable():
         assert is_separable(sp).separable
 
 
-# --- restriction -------------------------------------------------------------------
-
-
-def test_restrict_to_convex_set():
-    p3 = power_set_space(3)
-    sub = restrict_space(p3, PointSet.from_indices([0, 2]))
-    assert sub.ground.labels == ("1", "3")
-    assert len(sub.convex) == 4
-
-
-def test_restrict_to_empty_set():
-    sub = restrict_space(power_set_space(2), PointSet(0))
-    assert sub.ground.labels == ()
-    assert sub.convex.masks() == [0]
-
-
-def test_restrict_requires_convex_trace():
-    path = subtree_space(PATH3)
-    with pytest.raises(NotConvex):
-        restrict_space(path, PointSet.from_indices([0, 2]))
-
-
-def test_restrict_preserves_axioms_and_hulls():
-    rng = random.Random(515)
-    for _ in range(40):
-        sp = random_space(rng, rng.randint(1, 6))
-        trace = sp.sets[rng.randrange(len(sp.sets))]
-        sub = restrict_space(sp, trace)
-        validate_space(sub.ground, sub.sets)
-        assert sub.ground.size == len(trace)
-
-
 # --- measures ----------------------------------------------------------------------
 
 
@@ -331,7 +290,7 @@ def test_integer_weights_roundtrip():
         mu = Distribution.from_integer_weights(
             [rng.randint(0, 9) for _ in range(size - 1)] + [1]
         )
-        nums, den = mu.integer_weights()
+        nums, den = mu.nums, mu.den
         assert sum(nums) == den
         assert all(Fraction(n, den) == w for n, w in zip(nums, mu.weights))
 
