@@ -4,11 +4,10 @@ Five structured families (power sets, cylinder sets on the cube,
 subtrees of a tree, convex lattice subsets of a 2D grid, linear-order
 extensions of a poset) plus a seeded random family.  In a separable
 space every convex set is the intersection of the half-spaces that
-contain it, so the separable families whose half-spaces are known up
-front (cylinders, subtrees, posets, random) are built as the
-intersection closure of their half-space pairs.  All generators are
-deterministic: identical parameters give identical spaces, point for
-point and set for set.
+contain it, so every family but the power sets (cylinders, subtrees,
+lattices, posets, random) is built as the intersection closure of its
+half-space pairs.  All generators are deterministic: identical
+parameters give identical spaces, point for point and set for set.
 
 Subgroup-lattice convexity is deliberately not here: enumerating finite
 groups is machinery without test value at this scale.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .space import (
@@ -105,82 +104,39 @@ def subtree_space(edges: Iterable[tuple[str, str]]) -> ConvexitySpace:
     return intersection_closure(GroundSet(tuple(labels)), basis)
 
 
-# --- integer planar hulls for the lattice generator ---------------------------
-
-
-def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _hull_polygon(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Convex hull vertices, counterclockwise; collinear input gives the
-    two endpoints, a single point gives itself."""
-    pts = sorted(set(pts))
-    if len(pts) <= 2:
-        return pts
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _in_hull(hull: Sequence[tuple[int, int]], p: tuple[int, int]) -> bool:
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        a, b = hull
-        if _cross(a, b, p) != 0:
-            return False
-        dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
-        return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
-    return all(_cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull)))
-
-
 def lattice_convex_space(width: int, height: int) -> ConvexitySpace:
     """Convex lattice subsets of a width x height integer grid.
 
     A subset is convex when its Euclidean hull contains no further grid
     point.  Point (x, y) is labelled "x,y" and indexed y * width + x.
-    Closed sets are enumerated by growing fixed points of the closure
-    operator S -> hull(S) intersect grid, one added point at a time.
+    The basis is the grid points on either closed side of a line through
+    two grid points, and the axis cuts x <= k, x >= k, y <= k, y >= k;
+    each is convex, so every intersection is.  A convex set is cut out by
+    the lines along its hull's edges, or, when it lies on one line, by
+    that line and a line through each end point and a grid point off it.
+    Only one-row and one-column grids lack such points; there the axis
+    cuts bound the ends.
     """
     if width < 1 or height < 1 or width * height > 25:
         raise ValueError("lattice space needs positive sides with width*height <= 25")
     coords = [(x, y) for y in range(height) for x in range(width)]
-    ground = GroundSet(tuple(f"{x},{y}" for x, y in coords))
-    n = len(coords)
 
-    def close(mask: int) -> int:
-        pts = [coords[i] for i in PointSet(mask).indices]
-        if not pts:
-            return 0
-        hull = _hull_polygon(pts)
-        out = 0
-        for i, c in enumerate(coords):
-            if _in_hull(hull, c):
-                out |= 1 << i
-        return out
+    def half_plane(a: int, b: int, c: int) -> PointSet:
+        """Grid points with a*x + b*y >= c."""
+        return PointSet.from_indices(i for i, (x, y) in enumerate(coords) if a * x + b * y >= c)
 
-    closed = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for i in range(n):
-                if not (m >> i) & 1:
-                    c = close(m | (1 << i))
-                    if c not in closed:
-                        closed.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return ConvexitySpace(ground, ConvexFamily.from_masks(closed))
+    basis = {
+        half_plane(s * (py - qy), s * (qx - px), s * ((py - qy) * px + (qx - px) * py))
+        for (px, py), (qx, qy) in combinations(coords, 2)
+        for s in (1, -1)
+    }
+    basis |= {
+        half_plane(s * a, s * b, s * k)
+        for a, b, sides in ((1, 0, width), (0, 1, height))
+        for k in range(sides)
+        for s in (1, -1)
+    }
+    return intersection_closure(GroundSet(tuple(f"{x},{y}" for x, y in coords)), basis)
 
 
 def linear_extension_space(

@@ -180,8 +180,12 @@ def analyze(space: ConvexitySpace) -> InvariantReport:
 
     For separable spaces both half-space invariants are bounded by the
     Radon number minus one; a violation means a computation bug, reported
-    as `ConsistencyError` rather than a wrong answer.
+    as `ConsistencyError` rather than a wrong answer.  An empty ground set
+    is a `ValueError`, as in `radon_lower_bound`: the bound fails there,
+    since the family {∅} has Helly number 1 and Radon number 1.
     """
+    if space.ground.size == 0:
+        raise ValueError("the ground set is empty")
     radon, radon_wit = radon_number(space)
     half = halfspaces(space)
     helly, helly_wit = helly_number(half)

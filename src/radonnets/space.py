@@ -403,17 +403,13 @@ def measure(mu: Distribution, points: PointSet) -> Fraction:
 # operations.
 
 def weight_tables(nums: Sequence[int]) -> list[list[int]]:
-    n = len(nums)
+    """One subset-sum table per 8-point chunk: entry v sums the weights of
+    the chunk's points whose bits are set in v."""
     tables = []
-    for base in range(0, max(n, 1), 8):
-        width = min(8, n - base)
-        if width <= 0:
-            break
-        tbl = [0] * (1 << width)
-        for v in range(1, 1 << width):
-            low = v & (v - 1)
-            bit = (v ^ low).bit_length() - 1
-            tbl[v] = tbl[low] + nums[base + bit]
+    for base in range(0, len(nums), 8):
+        tbl = [0]
+        for w in nums[base : base + 8]:
+            tbl += [t + w for t in tbl]
         tables.append(tbl)
     return tables or [[0]]
 

@@ -497,3 +497,74 @@ def reference_linear_extension_space(
         frontier = nxt
     labels = tuple("<".join(elems[i] for i in perm) for perm in perms)
     return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))
+
+
+def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _hull_polygon(pts: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Convex hull vertices, counterclockwise; collinear input gives the
+    two endpoints, a single point gives itself."""
+    pts = sorted(set(pts))
+    if len(pts) <= 2:
+        return pts
+    lower: list[tuple[int, int]] = []
+    for p in pts:
+        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[tuple[int, int]] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def _in_hull(hull: Sequence[tuple[int, int]], p: tuple[int, int]) -> bool:
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        a, b = hull
+        if _cross(a, b, p) != 0:
+            return False
+        dot = (p[0] - a[0]) * (b[0] - a[0]) + (p[1] - a[1]) * (b[1] - a[1])
+        return 0 <= dot <= (b[0] - a[0]) ** 2 + (b[1] - a[1]) ** 2
+    return all(_cross(hull[i], hull[(i + 1) % len(hull)], p) >= 0 for i in range(len(hull)))
+
+
+def reference_lattice_convex_space(width: int, height: int) -> ConvexitySpace:
+    """Every fixed point of S -> hull(S) intersect grid, grown from the
+    empty set one added point at a time; the hull is the Euclidean convex
+    hull of the points (x, y), indexed y * width + x."""
+    if width < 1 or height < 1 or width * height > 25:
+        raise ValueError("lattice space needs positive sides with width*height <= 25")
+    coords = [(x, y) for y in range(height) for x in range(width)]
+    ground = GroundSet(tuple(f"{x},{y}" for x, y in coords))
+    n = len(coords)
+
+    def close(mask: int) -> int:
+        pts = [coords[i] for i in PointSet(mask).indices]
+        if not pts:
+            return 0
+        hull = _hull_polygon(pts)
+        out = 0
+        for i, c in enumerate(coords):
+            if _in_hull(hull, c):
+                out |= 1 << i
+        return out
+
+    closed = {0}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for i in range(n):
+                if not (m >> i) & 1:
+                    c = close(m | (1 << i))
+                    if c not in closed:
+                        closed.add(c)
+                        nxt.append(c)
+        frontier = nxt
+    return ConvexitySpace(ground, ConvexFamily.from_masks(closed))

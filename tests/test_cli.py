@@ -156,6 +156,17 @@ def test_analyze_deeply_nested_space_file_exits_2(tmp_path, capsys):
     assert "space file is not valid JSON" in err
 
 
+def test_analyze_empty_ground_set_exits_2(tmp_path, capsys):
+    """The parser accepts an empty ground set; analyze rejects it as bad
+    input, as `lowerbound --method radon` does, not as a consistency failure."""
+    space = tmp_path / "empty.json"
+    space.write_text(json.dumps({"name": "e", "ground": [], "convex": [[]]}))
+    code, out, err = run_cli(capsys, "analyze", str(space))
+    assert code == 2
+    assert out == ""
+    assert "the ground set is empty" in err
+
+
 # --- net ------------------------------------------------------------------------
 
 

@@ -20,6 +20,7 @@ from radonnets.space import _HullCache
 from conftest import (
     POSET_BASES,
     reference_cylinder_space,
+    reference_lattice_convex_space,
     reference_linear_extension_space,
     reference_subtree_space,
     tree_edge_lists,
@@ -111,6 +112,13 @@ def test_lattice_two_by_two_is_power_set():
     assert len(sp.convex) == 16
 
 
+def test_lattice_largest_grids():
+    """The grids at the 25-point cap: a 5x5 and a 4x6 grid.  The counts
+    are those of the point-by-point hull enumeration."""
+    assert len(lattice_convex_space(5, 5).convex) == 33_367
+    assert len(lattice_convex_space(4, 6).convex) == 24_778
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         lattice_convex_space(0, 3)
@@ -197,11 +205,14 @@ def _random_edges(rng: random.Random) -> list[tuple[str, str]]:
 
 
 def test_generators_match_their_enumerations():
-    """Cylinders, subtrees and posets, built from half-spaces, equal the
-    families enumerated from their definitions, and fail with the same
-    error on the same bad input."""
+    """Cylinders, subtrees, lattices and posets, built from half-spaces,
+    equal the families enumerated from their definitions, and fail with
+    the same error on the same bad input."""
     for n in range(8):
         assert _outcome(cylinder_space, n) == _outcome(reference_cylinder_space, n)
+    grids = [(w, h) for w in range(1, 13) for h in range(1, 13) if w * h <= 12]
+    for w, h in grids + [(0, 1), (1, 0), (5, 6), (26, 1)]:
+        assert _outcome(lattice_convex_space, w, h) == _outcome(reference_lattice_convex_space, w, h)
     for _, edges in tree_edge_lists():
         assert _outcome(subtree_space, edges) == _outcome(reference_subtree_space, edges)
     for elements, relations in POSET_BASES.values():

@@ -58,3 +58,20 @@ def test_library_imports_are_used():
                         found.append(f"{path.name}:{node.lineno}: {name}")
     assert SOURCES
     assert found == []
+
+
+def test_generators_build_through_the_closure():
+    """Every generator but the power set, whose every subset is convex,
+    returns the intersection closure of its half-spaces rather than
+    assembling a family itself."""
+    path = Path(radonnets.__file__).parent / "generators.py"
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "power_set_space":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                callee = ast.unparse(node.func)
+                if callee in ("ConvexitySpace", "ConvexFamily.from_masks"):
+                    found.append(f"{func.name}:{node.lineno}: {callee}")
+    assert found == []

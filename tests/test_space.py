@@ -307,16 +307,23 @@ def test_measure_additivity():
 
 
 def test_weight_tables_match_fractions():
-    # 19 points spans three 8-bit chunks.
+    # 19 points spans three 8-bit chunks; the other sizes sit on either
+    # side of a chunk boundary, up to the 64-point cap.
     rng = random.Random(19)
-    nums = [rng.randint(0, 99) for _ in range(19)]
-    nums[0] += 1
-    mu = Distribution.from_integer_weights(nums)
-    tables = weight_tables(nums)
-    den = sum(nums)
-    for _ in range(200):
-        m = rng.randrange(1 << 19)
-        assert Fraction(masked_sum(tables, m), den) == fraction_measure(mu, PointSet(m))
+    for n in (19, 1, 7, 8, 9, 16, 17, 64):
+        nums = [rng.randint(0, 99) for _ in range(n)]
+        nums[0] += 1
+        mu = Distribution.from_integer_weights(nums)
+        tables = weight_tables(nums)
+        den = sum(nums)
+        for _ in range(200):
+            m = rng.randrange(1 << n)
+            assert Fraction(masked_sum(tables, m), den) == fraction_measure(mu, PointSet(m))
+        # Every entry of every chunk's table, against the sum it stands for.
+        assert [len(t) for t in tables] == [1 << min(8, n - base) for base in range(0, n, 8)]
+        for c, tbl in enumerate(tables):
+            assert tbl == [sum(nums[8 * c + i] for i in PointSet(v).indices) for v in range(len(tbl))]
+    assert weight_tables([]) == [[0]]
     assert masked_sum(weight_tables([]), 0) == 0
 
 
