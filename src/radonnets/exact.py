@@ -263,6 +263,8 @@ def dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("eps must satisfy 0 < eps <= 1")
+    if mu.size != space.ground.size:
+        raise ValueError("distribution size does not match the ground set")
     # mass / den >= p / q, cross-multiplied.
     p, q = eps.numerator * mu.den, eps.denominator
     return tuple(s for s in space.sets if q * mu.mass(s.mask) >= p)

@@ -16,8 +16,12 @@ every convex set of measure at least eps:
 
 The amplification gives a recursion depth of N(eps) = min { n :
 eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
-so subtrees are memoized on (support, level).  All threshold comparisons
-are exact, made on the distribution's integer weights (`Distribution.mass`).
+so a node is fixed by its (support, level) and built once.  Only delta
+depends on the level: each support's mass and piercing point are computed
+once per build, and so is the mass of each masked symmetric difference
+(a ^ b) & m that the packings compare against delta.  All threshold
+comparisons are exact, made on the distribution's integer weights
+(`Distribution.mass`).
 
 The finished net is checked against every convex set of the space; a
 failure (only possible when the space is not separable or the supplied
@@ -117,10 +121,18 @@ class NetNode:
 
 @dataclass(frozen=True, slots=True)
 class WeakNet:
+    """The net, its recursion trace and a-priori size bound, and the build's
+    counters: (support, level) nodes, distinct supports, child edges that
+    found their node already built, and the largest packing."""
+
     points: PointSet
     trace: NetNode
     size_bound: float
     params: NetParams
+    nodes: int
+    supports: int
+    memo_hits: int
+    max_packing: int
 
 
 class NetCheck(NamedTuple):
@@ -136,7 +148,11 @@ def verify_weak_net(
     The counterexample, if any, is the unpierced dense set of maximum
     measure, canonically least on ties.
     """
-    missed = [c for c in dense_sets(space, mu, eps) if not c.mask & points.mask]
+    return _check_net(dense_sets(space, mu, eps), mu, points)
+
+
+def _check_net(dense: tuple[PointSet, ...], mu: Distribution, points: PointSet) -> NetCheck:
+    missed = [c for c in dense if not c.mask & points.mask]
     worst = max(missed, key=lambda c: mu.mass(c.mask), default=None)
     return NetCheck(worst is None, worst)
 
@@ -177,8 +193,8 @@ def build_weak_net(
     """
     from .invariants import helly_number, vc_dimension
 
-    if mu.size != space.ground.size:
-        raise ValueError("distribution size does not match the ground set")
+    # Also checks eps and the size of mu; the finished net is checked against these.
+    dense = dense_sets(space, mu, eps)
     full = space.full.mask
     bmasks = [s.mask for s in family.sets]
     for s in family.sets:
@@ -205,33 +221,48 @@ def build_weak_net(
     wsum = mu.mass
     support0 = mu.support().mask
 
+    # Piercing and packing distances do not depend on the level (only delta
+    # does), so they are computed once per build: (mass, x0) per support,
+    # and the raw mass of every masked symmetric difference (a ^ b) & m.
+    pierced: dict[int, tuple[int, int]] = {}
+    masses: dict[int, int] = {}
     memo: dict[tuple[int, int], tuple[NetNode, int]] = {}
+    edges = max_packing = 0
 
     def recurse(m: int, level: int) -> tuple[NetNode, int]:
+        nonlocal edges, max_packing
+        got = pierced.get(m)
+        if got is None:
+            w_m = wsum(m)
+            inter = full
+            for b in bmasks:
+                # mu_m(b) > 1 - 1/h, cross-multiplied.
+                if h * wsum(b & m) > (h - 1) * w_m:
+                    inter &= b
+            if inter == 0:
+                raise EmptyIntersection(
+                    "dense half-spaces have empty intersection; the Helly number is wrong"
+                )
+            got = pierced[m] = (w_m, (inter & -inter).bit_length() - 1)
+        w_m, x0 = got
         key = (m, level)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        w_m = wsum(m)
-        inter = full
-        for b in bmasks:
-            # mu_m(b) > 1 - 1/h, cross-multiplied.
-            if h * wsum(b & m) > (h - 1) * w_m:
-                inter &= b
-        if inter == 0:
-            raise EmptyIntersection(
-                "dense half-spaces have empty intersection; the Helly number is wrong"
-            )
-        x0 = (inter & -inter).bit_length() - 1
         if level >= depth:
             node = NetNode(x0, eps_levels[level], PointSet(m), None, ())
             memo[key] = (node, 1 << x0)
             return node, 1 << x0
         d = deltas[level]
         p, q = d.numerator, d.denominator
+        pw = p * w_m
         chosen: list[int] = []
         for b in bmasks:
-            if all(q * wsum((b ^ a) & m) > p * w_m for a in chosen):
+            for a in chosen:
+                diff = (b ^ a) & m
+                mass = masses.get(diff)
+                if mass is None:
+                    mass = masses[diff] = wsum(diff)
+                if q * mass <= pw:
+                    break
+            else:
                 chosen.append(b)
         # Haussler's cap (4e^2/delta)^v in log space: float(delta) underflows.
         log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
@@ -243,8 +274,9 @@ def build_weak_net(
         points = 1 << x0
         children = []
         for a in chosen:
-            if wsum(a & m) > 0:
-                child, cpts = recurse(m & a, level + 1)
+            # m lies inside the support of mu, so a & m has mass iff it is non-empty.
+            if a & m:
+                child, cpts = memo.get((m & a, level + 1)) or recurse(m & a, level + 1)
                 children.append((PointSet(a), child))
                 points |= cpts
         node = NetNode(
@@ -254,6 +286,8 @@ def build_weak_net(
             ConvexFamily.from_masks(chosen),
             tuple(children),
         )
+        edges += len(children)
+        max_packing = max(max_packing, len(chosen))
         memo[key] = (node, points)
         return node, points
 
@@ -267,10 +301,11 @@ def build_weak_net(
         raise ConsistencyError(
             f"net has {len(points)} points, above the size bound {bound:.6g}"
         )
-    check = verify_weak_net(space, mu, eps, points)
+    check = _check_net(dense, mu, points)
     if not check.ok:
         raise ConsistencyError(
             f"built net misses the dense convex set {check.counterexample}; "
             "the space is not separable or the Helly number is wrong"
         )
-    return WeakNet(points, root, bound, params)
+    nodes = len(memo)
+    return WeakNet(points, root, bound, params, nodes, len(pierced), edges - (nodes - 1), max_packing)

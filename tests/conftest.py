@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import pytest
 
@@ -35,6 +35,7 @@ from radonnets import (
     random_separable,
     subtree_space,
 )
+from radonnets.nets import NetNode, NetParams, _net_params, size_bound_value
 
 
 # --- corpus --------------------------------------------------------------------
@@ -387,6 +388,96 @@ def reference_weak_net(
                 )
                 points.update(child.indices)
     return PointSet.from_indices(points)
+
+
+class ReferenceNet(NamedTuple):
+    points: PointSet
+    trace: NetNode
+    size_bound: float
+    params: NetParams
+
+
+def reference_build_weak_net(
+    space: ConvexitySpace,
+    family: ConvexFamily,
+    mu: Distribution,
+    eps: Fraction,
+    helly: int,
+    vc: int,
+) -> ReferenceNet:
+    """The integer net recursion memoized on (support, level) alone: every
+    node recomputes its support's mass, its piercing point and its packing
+    distances.  The trace is the one `build_weak_net` must reproduce."""
+    h, v = helly, vc
+    params = _net_params(eps, h, v)
+    eps, depth = params.eps, params.depth
+    grow = 1 + Fraction(1, 2 * h)
+    eps_levels = [eps * grow**level for level in range(depth + 1)]
+    deltas = [e / (4 * h * h) for e in eps_levels]
+    full = space.full.mask
+    bmasks = [s.mask for s in family.sets]
+    wsum = mu.mass
+    memo: dict[tuple[int, int], tuple[NetNode, int]] = {}
+
+    def recurse(m: int, level: int) -> tuple[NetNode, int]:
+        key = (m, level)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        w_m = wsum(m)
+        inter = full
+        for b in bmasks:
+            if h * wsum(b & m) > (h - 1) * w_m:
+                inter &= b
+        if inter == 0:
+            raise EmptyIntersection("dense half-spaces have empty intersection")
+        x0 = (inter & -inter).bit_length() - 1
+        if level >= depth:
+            memo[key] = (NetNode(x0, eps_levels[level], PointSet(m), None, ()), 1 << x0)
+            return memo[key]
+        d = deltas[level]
+        p, q = d.numerator, d.denominator
+        chosen: list[int] = []
+        for b in bmasks:
+            if all(q * wsum((b ^ a) & m) > p * w_m for a in chosen):
+                chosen.append(b)
+        points = 1 << x0
+        children = []
+        for a in chosen:
+            if wsum(a & m) > 0:
+                child, cpts = recurse(m & a, level + 1)
+                children.append((PointSet(a), child))
+                points |= cpts
+        node = NetNode(x0, eps_levels[level], PointSet(m), ConvexFamily.from_masks(chosen), tuple(children))
+        memo[key] = (node, points)
+        return memo[key]
+
+    root, points = recurse(mu.support().mask, 0)
+    del recurse
+    return ReferenceNet(PointSet(points), root, size_bound_value(eps, h, v), params)
+
+
+def same_trace(a: NetNode, b: NetNode) -> bool:
+    """Whether two traces are the same DAG: equal node fields, equal child
+    edges, and one node of `b` for each node of `a` (so shared subtrees are
+    shared alike).  Walked once per node pair, by object id; comparing
+    NetNodes with `==` walks the DAG as a tree, which is exponential."""
+    pairs: dict[int, int] = {}
+    back: dict[int, int] = {}
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if pairs.get(id(x), id(y)) != id(y) or back.get(id(y), id(x)) != id(x):
+            return False
+        if id(x) in pairs:
+            continue
+        pairs[id(x)], back[id(y)] = id(y), id(x)
+        if (x.x0, x.eps, x.support, x.packing) != (y.x0, y.eps, y.support, y.packing):
+            return False
+        if [s for s, _ in x.children] != [s for s, _ in y.children]:
+            return False
+        stack.extend((cx, cy) for (_, cx), (_, cy) in zip(x.children, y.children))
+    return True
 
 
 # --- generator families enumerated from their definitions ----------------------

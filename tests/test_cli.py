@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import radonnets
@@ -422,5 +422,57 @@ def test_cli_ends_in_a_report_or_an_error_code(tmp_path_factory, case):
             except SystemExit as exc:
                 code = exc.code
         assert code in (0, 2, 3), argv
+        if code == 0:
+            strict_json(out.getvalue())
+
+
+@st.composite
+def mutated_cli_inputs(draw):
+    """Valid space and distribution files from `cli_inputs`, one of them
+    truncated, with a few bytes overwritten (often by JSON syntax), or with
+    a few digits changed (still JSON: other indices, labels or weights)."""
+    space, mu, eps = draw(cli_inputs())
+    files = {"space": format_space_file("fuzz", space).encode(), "dist": format_distribution_file(mu).encode()}
+    name = draw(st.sampled_from(sorted(files)))
+    data = bytearray(files[name])
+    kind = draw(st.sampled_from(["truncate", "overwrite", "digits"]))
+    if kind == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif kind == "overwrite":
+        for _ in range(draw(st.integers(1, 4))):
+            at = draw(st.integers(0, len(data) - 1))
+            data[at] = draw(st.one_of(st.integers(0, 255), st.sampled_from(b'-/.,:"[]{}')))
+    else:
+        digits = [i for i, c in enumerate(data) if chr(c).isdigit()]
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.sampled_from(digits))] = draw(st.sampled_from(b"0123456789"))
+    files[name] = bytes(data)
+    return files["space"], files["dist"], eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_cli_inputs())
+def test_cli_survives_truncated_and_mutated_files(tmp_path_factory, case):
+    space_bytes, dist_bytes, eps = case
+    work = tmp_path_factory.mktemp("mutated")
+    space_path, dist_path = work / "space.json", work / "mu.json"
+    space_path.write_bytes(space_bytes)
+    dist_path.write_bytes(dist_bytes)
+    space_file, dist_file = str(space_path), str(dist_path)
+    calls = [
+        ["analyze", space_file],
+        ["net", space_file, dist_file, "--eps", eps, "--verify", "--oracle"],
+        ["lowerbound", space_file, dist_file, "--eps", eps, "--method", "chromatic"],
+        ["lowerbound", space_file, "--eps", eps, "--method", "radon"],
+    ]
+    for argv in calls:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), argv
+        event(f"{argv[0]} exits {code}")
         if code == 0:
             strict_json(out.getvalue())

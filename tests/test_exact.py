@@ -9,6 +9,7 @@ from radonnets import (
     Graph,
     PointSet,
     TooLarge,
+    chromatic_lower_bound,
     cylinder_space,
     dense_sets,
     exact_chromatic_number,
@@ -16,6 +17,7 @@ from radonnets import (
     measure,
     minimal_weak_net,
     power_set_space,
+    verify_weak_net,
 )
 
 from conftest import naive_chromatic, naive_min_net, seeded_distribution
@@ -100,6 +102,23 @@ def test_dense_sets_thresholds():
         dense_sets(sp, mu, Fraction(0))
     with pytest.raises(ValueError):
         dense_sets(sp, mu, Fraction(5, 4))
+
+
+@pytest.mark.parametrize("size", [3, 5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sp, mu, eps: verify_weak_net(sp, mu, eps, sp.full),
+        minimal_weak_net,
+        chromatic_lower_bound,
+    ],
+    ids=["verify_weak_net", "minimal_weak_net", "chromatic_lower_bound"],
+)
+def test_distribution_of_the_wrong_size_is_refused(call, size):
+    """A smaller measure used to end in an IndexError and a larger one in
+    silent answers (the oracle gave 2 points for the 4-point cylinders)."""
+    with pytest.raises(ValueError, match="distribution size does not match the ground set"):
+        call(cylinder_space(2), Distribution.uniform(size), Fraction(1, 4))
 
 
 def test_hitting_instance_minimal_targets():

@@ -26,7 +26,7 @@ from radonnets import (
     verify_weak_net,
 )
 from radonnets.invariants import helly_number, vc_dimension
-from radonnets.nets import _net_params, size_bound_value
+from radonnets.nets import NetNode, _net_params, size_bound_value
 
 from conftest import (
     ZeroMassCondition,
@@ -34,7 +34,9 @@ from conftest import (
     greedy_packing,
     piercing_point,
     reference_amplification_depth,
+    reference_build_weak_net,
     reference_weak_net,
+    same_trace,
     seeded_distribution,
 )
 
@@ -230,6 +232,43 @@ def test_net_matches_unmemoized_reference():
                 assert net.points == reference_weak_net(sp, b, mu, eps, h)
 
 
+def test_net_matches_the_per_level_recursion(corpus, small_corpus):
+    """The whole WeakNet (points, bound, parameters and trace DAG) equals
+    the recursion that recomputes every node from scratch.  A cache that
+    stored scaled masses q * mass across levels keeps the points but
+    changes the traces, so the traces are compared node by node."""
+    extra = ("lattice-2x3", "poset-antichain-4", "power-5")
+    spaces = dict(small_corpus) | {name: sp for name, sp in corpus if name in extra}
+    for name, sp in sorted(spaces.items()):
+        b = halfspaces(sp)
+        h, v = helly_number(b)[0], vc_dimension(b, sp.ground.size)[0]
+        measures = [Distribution.uniform(sp.ground.size), seeded_distribution(sp.ground.size, f"trace/{name}")]
+        for mu in measures:
+            for eps in (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+                net = build_weak_net(sp, b, mu, eps, helly=h, vc=v)
+                ref = reference_build_weak_net(sp, b, mu, eps, h, v)
+                where = (name, mu.weights, eps)
+                assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params), where
+                assert same_trace(net.trace, ref.trace), where
+
+
+def test_same_trace_tells_shared_from_copied_nodes():
+    leaf = NetNode(0, Fraction(1, 2), PointSet(1), None, ())
+    twin = NetNode(0, Fraction(1, 2), PointSet(1), None, ())
+    other = NetNode(1, Fraction(1, 2), PointSet(1), None, ())
+    a = PointSet(0b01)
+
+    def root(*children):
+        return NetNode(0, Fraction(1, 4), PointSet(3), ConvexFamily((a,)), tuple((a, c) for c in children))
+
+    shared, copied = root(leaf, leaf), root(leaf, twin)
+    assert shared == copied
+    assert same_trace(shared, root(leaf, leaf))
+    assert not same_trace(shared, copied)
+    assert not same_trace(copied, shared)
+    assert not same_trace(copied, root(leaf, other))
+
+
 def test_supplied_invariants_must_match_computed():
     sp = random_separable(5, 3)
     b = halfspaces(sp)
@@ -264,6 +303,27 @@ def test_trace_structure():
 
     walk(net.trace, 0)
     assert PointSet.from_indices(seen_points) == net.points
+
+
+def test_build_counters_match_the_trace_dag():
+    sp = cylinder_space(2)
+    net = build_weak_net(sp, halfspaces(sp), Distribution.uniform(4), Fraction(1, 4))
+    seen = {id(net.trace): net.trace}
+    stack = [net.trace]
+    edges = 0
+    while stack:
+        node = stack.pop()
+        edges += len(node.children)
+        for _, child in node.children:
+            if id(child) not in seen:
+                seen[id(child)] = child
+                stack.append(child)
+    nodes = seen.values()
+    assert net.nodes == len(nodes) > 1
+    assert net.supports == len({node.support for node in nodes}) < net.nodes
+    assert net.memo_hits == edges - (net.nodes - 1) > 0
+    assert net.max_packing == max(len(node.packing) for node in nodes if node.packing is not None)
+    assert (net.nodes, net.supports, net.memo_hits, net.max_packing) == (33, 9, 32, 6)  # as in the README
 
 
 def test_build_validation_errors():
