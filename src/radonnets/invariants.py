@@ -49,16 +49,29 @@ def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
     """Lexicographically least maximum subset of range(n) accepted by the
     downward-monotone `keep`, grown by size from a frontier of accepted
     sets.  Extending only by points above the top index generates every
-    candidate once, in lexicographic order."""
+    candidate once, in lexicographic order.  A frontier holds every
+    accepted set of its size, so a candidate with a one-point-smaller
+    subset outside it would be rejected, and `keep` is not asked."""
     frontier = [0]
     best = 0
     while frontier:
+        accepted = set(frontier)
         nxt = []
         for y in frontier:
+            drops = []
+            rest = y
+            while rest:
+                low = rest & -rest
+                drops.append(y ^ low)
+                rest ^= low
             for i in range(y.bit_length(), n):
-                cand = y | (1 << i)
-                if keep(cand):
-                    nxt.append(cand)
+                bit = 1 << i
+                for d in drops:
+                    if d | bit not in accepted:
+                        break
+                else:
+                    if keep(y | bit):
+                        nxt.append(y | bit)
         if nxt:
             best = nxt[0]
         frontier = nxt

@@ -19,9 +19,12 @@ eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
 so a node is fixed by its (support, level) and built once.  Only delta
 depends on the level: each support's mass and piercing point are computed
 once per build, and so is the mass of each masked symmetric difference
-(a ^ b) & m that the packings compare against delta.  All threshold
-comparisons are exact, made on the distribution's integer weights
-(`Distribution.mass`).
+(a ^ b) & m that the packings compare against delta.  On a support m two
+half-spaces with one trace b & m are at distance 0, so packings run over
+the distinct traces, one half-space each (the first in canonical order),
+and come out in canonical order without a sort.  All threshold
+comparisons are exact, made in integers: on the distribution's integer
+weights (`Distribution.mass`) against each level's delta p/q.
 
 The finished net is checked against every convex set of the space; a
 failure (only possible when the space is not separable or the supplied
@@ -78,17 +81,21 @@ def amplification_depth(eps: Fraction, helly: int) -> int:
         raise ValueError("eps must satisfy 0 < eps <= 1")
     if helly < 1:
         raise ValueError("the Helly number is at least 1")
-    target = 1 - Fraction(1, helly)
-    factor = 1 + Fraction(1, 2 * helly)
-    if eps > target:
+    h, a, b = helly, eps.numerator, eps.denominator
+
+    def cleared(n: int) -> bool:
+        # eps * (1 + 1/(2h))**n > 1 - 1/h, cross-multiplied.
+        return a * h * (2 * h + 1) ** n > (h - 1) * b * (2 * h) ** n
+
+    if cleared(0):
         return 0
-    # The least n with factor**n > target / eps, estimated from logarithms of
-    # the integer parts (eps may have thousands of digits), then settled exactly.
-    log_ratio = math.log(target.numerator * eps.denominator) - math.log(target.denominator * eps.numerator)
-    n = max(1, math.floor(log_ratio / math.log(factor)) + 1)
-    while eps * factor**n <= target:
+    # The least n with cleared(n), estimated from logarithms of the integer
+    # parts (eps may have thousands of digits), then settled exactly.
+    log_ratio = math.log((h - 1) * b) - math.log(h * a)
+    n = max(1, math.floor(log_ratio / math.log((2 * h + 1) / (2 * h))) + 1)
+    while not cleared(n):
         n += 1
-    while n > 1 and eps * factor ** (n - 1) > target:
+    while n > 1 and cleared(n - 1):
         n -= 1
     return n
 
@@ -117,6 +124,28 @@ class NetNode:
     support: PointSet
     packing: Optional[ConvexFamily]
     children: tuple[tuple[PointSet, "NetNode"], ...]
+
+    def __eq__(self, other: object) -> bool:
+        # Field by field, as a dataclass compares, but each pair of nodes only
+        # once: a trace is a memoized DAG, and a tree walk is exponential in it.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        seen: set[tuple[int, int]] = set()
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            seen.add((id(x), id(y)))
+            if (x.x0, x.eps, x.support, x.packing) != (y.x0, y.eps, y.support, y.packing):
+                return False
+            if [a for a, _ in x.children] != [a for a, _ in y.children]:
+                return False
+            stack.extend((cx, cy) for (_, cx), (_, cy) in zip(x.children, y.children))
+        return True
+
+    def __hash__(self) -> int:
+        return hash((self.x0, self.eps, self.support, self.packing))
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,9 +225,9 @@ def build_weak_net(
     # Also checks eps and the size of mu; the finished net is checked against these.
     dense = dense_sets(space, mu, eps)
     full = space.full.mask
-    bmasks = [s.mask for s in family.sets]
-    for s in family.sets:
-        if s.mask & ~full:
+    members = [(s.mask, s) for s in family.sets]
+    for b, s in members:
+        if b & ~full:
             raise ValueError(f"family member {s} is not a subset of the ground set")
     h = helly_number(family)[0] if helly is None else helly
     v = vc_dimension(family, space.ground.size)[0] if vc is None else vc
@@ -214,17 +243,26 @@ def build_weak_net(
         raise ValueError(
             f"eps needs {depth} recursion levels; the recursion limit allows {max(room, 0)}"
         )
-    grow = 1 + Fraction(1, 2 * h)
-    eps_levels = [eps * grow**level for level in range(depth + 1)]
-    deltas = [e / (4 * h * h) for e in eps_levels]
+    # Per level: the running threshold eps (1 + 1/(2h))^level, its delta as
+    # p/q in lowest terms, and Haussler's cap (4e^2/delta)^v in log space
+    # (float(delta) underflows).
+    levels: list[tuple[Fraction, int, int, float]] = []
+    e, grow, hh = eps, 1 + Fraction(1, 2 * h), 4 * h * h
+    for _ in range(depth + 1):
+        g = math.gcd(e.numerator, hh)
+        p, q = e.numerator // g, e.denominator * (hh // g)
+        levels.append((e, p, q, v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))))
+        e *= grow
 
     wsum = mu.mass
     support0 = mu.support().mask
 
     # Piercing and packing distances do not depend on the level (only delta
-    # does), so they are computed once per build: (mass, x0) per support,
-    # and the raw mass of every masked symmetric difference (a ^ b) & m.
-    pierced: dict[int, tuple[int, int]] = {}
+    # does), so they are computed once per build.  Per support m: its mass,
+    # piercing point and PointSet, and its distinct traces t = b & m, each
+    # with the first half-space in canonical order that has it.  Per build:
+    # the raw mass of every masked symmetric difference t ^ t' = (b ^ b') & m.
+    pierced: dict[int, tuple[int, int, PointSet, list[tuple[int, PointSet]]]] = {}
     masses: dict[int, int] = {}
     memo: dict[tuple[int, int], tuple[NetNode, int]] = {}
     edges = max_packing = 0
@@ -234,38 +272,49 @@ def build_weak_net(
         got = pierced.get(m)
         if got is None:
             w_m = wsum(m)
+            # Half-spaces with one trace share their mass on m: each trace is
+            # tested once, and if dense ANDs in the meet of its half-spaces.
+            first: dict[int, PointSet] = {}
+            meet: dict[int, int] = {}
+            for b, s in members:
+                t = b & m
+                if t in meet:
+                    meet[t] &= b
+                else:
+                    first[t], meet[t] = s, b
             inter = full
-            for b in bmasks:
-                # mu_m(b) > 1 - 1/h, cross-multiplied.
-                if h * wsum(b & m) > (h - 1) * w_m:
+            for t, b in meet.items():
+                # mu_m(t) > 1 - 1/h, cross-multiplied.
+                if h * wsum(t) > (h - 1) * w_m:
                     inter &= b
             if inter == 0:
                 raise EmptyIntersection(
                     "dense half-spaces have empty intersection; the Helly number is wrong"
                 )
-            got = pierced[m] = (w_m, (inter & -inter).bit_length() - 1)
-        w_m, x0 = got
+            x0 = (inter & -inter).bit_length() - 1
+            got = pierced[m] = (w_m, x0, PointSet(m), list(first.items()))
+        w_m, x0, support, traces = got
+        level_eps, p, q, log_cap = levels[level]
         key = (m, level)
         if level >= depth:
-            node = NetNode(x0, eps_levels[level], PointSet(m), None, ())
+            node = NetNode(x0, level_eps, support, None, ())
             memo[key] = (node, 1 << x0)
             return node, 1 << x0
-        d = deltas[level]
-        p, q = d.numerator, d.denominator
+        # A later half-space with an earlier one's trace is at distance 0
+        # from it, so the packing scans one half-space per trace; what it
+        # chooses is a subsequence of the family, so already canonical.
         pw = p * w_m
-        chosen: list[int] = []
-        for b in bmasks:
-            for a in chosen:
-                diff = (b ^ a) & m
+        chosen: list[tuple[int, PointSet]] = []
+        for t, s in traces:
+            for ta, _ in chosen:
+                diff = t ^ ta
                 mass = masses.get(diff)
                 if mass is None:
                     mass = masses[diff] = wsum(diff)
                 if q * mass <= pw:
                     break
             else:
-                chosen.append(b)
-        # Haussler's cap (4e^2/delta)^v in log space: float(delta) underflows.
-        log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
+                chosen.append((t, s))
         if chosen and math.log(len(chosen)) > log_cap:
             warnings.warn(
                 f"packing of size {len(chosen)} exceeds the VC bound {math.exp(log_cap):.3g}",
@@ -273,17 +322,18 @@ def build_weak_net(
             )
         points = 1 << x0
         children = []
-        for a in chosen:
-            # m lies inside the support of mu, so a & m has mass iff it is non-empty.
-            if a & m:
-                child, cpts = memo.get((m & a, level + 1)) or recurse(m & a, level + 1)
-                children.append((PointSet(a), child))
+        for t, s in chosen:
+            # m lies inside the support of mu, so the child t = m & a has
+            # mass iff it is non-empty.
+            if t:
+                child, cpts = memo.get((t, level + 1)) or recurse(t, level + 1)
+                children.append((s, child))
                 points |= cpts
         node = NetNode(
             x0,
-            eps_levels[level],
-            PointSet(m),
-            ConvexFamily.from_masks(chosen),
+            level_eps,
+            support,
+            ConvexFamily.from_canonical(tuple(s for _, s in chosen)),
             tuple(children),
         )
         edges += len(children)

@@ -189,6 +189,14 @@ class ConvexFamily:
     def from_masks(cls, masks: Iterable[int]) -> "ConvexFamily":
         return cls(tuple(PointSet(m) for m in masks))
 
+    @classmethod
+    def from_canonical(cls, sets: tuple[PointSet, ...]) -> "ConvexFamily":
+        """A family of sets already duplicate-free and in canonical order,
+        such as a subsequence of another family's sets; not re-sorted."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "sets", sets)
+        return family
+
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
 

@@ -393,7 +393,8 @@ def cli_inputs(draw):
     n = draw(st.integers(1, 6))
     basis = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
     space = intersection_closure(GroundSet(tuple(f"p{i}" for i in range(n))), [PointSet(m) for m in basis])
-    nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+    nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    nums[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
     q = draw(st.one_of(st.integers(1, 12), st.integers(0, 400).map(lambda k: 10**k)))
     p = draw(st.integers(1, min(q, 12)))
     return space, Distribution.from_integer_weights(nums), f"{p}/{q}"

@@ -1,9 +1,12 @@
 import math
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from radonnets import (
     ConsistencyError,
@@ -17,6 +20,8 @@ from radonnets import (
     build_weak_net,
     cylinder_space,
     halfspaces,
+    intersection_closure,
+    lattice_convex_space,
     measure,
     minimal_weak_net,
     power_set_space,
@@ -269,6 +274,82 @@ def test_same_trace_tells_shared_from_copied_nodes():
     assert not same_trace(copied, root(leaf, other))
 
 
+def dag_nodes(trace: NetNode) -> list[NetNode]:
+    """Every node of a trace DAG once, by object id."""
+    seen = {id(trace): trace}
+    stack = [trace]
+    while stack:
+        for _, child in stack.pop().children:
+            if id(child) not in seen:
+                seen[id(child)] = child
+                stack.append(child)
+    return list(seen.values())
+
+
+def test_trace_equality_compares_each_node_pair_once():
+    """Two separately built nets compare equal without walking the DAG as a
+    tree (about 2 s for this pair); moving one leaf's point breaks it."""
+    sp = lattice_convex_space(2, 3)
+    b = halfspaces(sp)
+    mu = Distribution.uniform(sp.ground.size)
+    one = build_weak_net(sp, b, mu, Fraction(1, 4))
+    two = build_weak_net(sp, b, mu, Fraction(1, 4))
+    assert one.trace is not two.trace and one.memo_hits > 1000
+    assert one == two and one.trace == two.trace
+    assert hash(one.trace) == hash(two.trace)
+
+    leaf = next(node for node in dag_nodes(two.trace) if not node.children)
+    copies: dict[int, NetNode] = {}
+
+    def copy(node: NetNode) -> NetNode:
+        got = copies.get(id(node))
+        if got is None:
+            x0 = node.x0 ^ 1 if node is leaf else node.x0
+            children = tuple((a, copy(child)) for a, child in node.children)
+            got = copies[id(node)] = replace(node, x0=x0, children=children)
+        return got
+
+    changed = copy(two.trace)
+    assert changed != one.trace and one.trace != changed
+    assert replace(one, trace=changed) != one
+
+
+@st.composite
+def net_inputs(draw):
+    """A separable closure of a complement-closed basis on 2 to 6 points,
+    an integer measure with at least one non-zero weight, and an eps."""
+    n = draw(st.integers(2, 6))
+    full = (1 << n) - 1
+    basis = []
+    for m in draw(st.lists(st.integers(1, full - 1), min_size=1, max_size=4)):
+        basis += [PointSet(m), PointSet(full ^ m)]
+    space = intersection_closure(GroundSet(tuple(f"p{i}" for i in range(n))), basis)
+    nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    nums[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+    return space, Distribution.from_integer_weights(nums), eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(net_inputs())
+def test_net_matches_the_per_level_recursion_on_random_closures(case):
+    """Every proper half-space a puts the empty set and its complement on
+    one trace over the support a, so these spaces have half-spaces with
+    equal traces on sub-supports; the build packs one per trace and keeps
+    its packings in the family's order without sorting them."""
+    space, mu, eps = case
+    b = halfspaces(space)
+    assume(len(b) > 2)
+    h, v = helly_number(b)[0], vc_dimension(b, space.ground.size)[0]
+    net = build_weak_net(space, b, mu, eps, helly=h, vc=v)
+    ref = reference_build_weak_net(space, b, mu, eps, h, v)
+    assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params)
+    assert same_trace(net.trace, ref.trace)
+    for node in dag_nodes(net.trace):
+        if node.packing is not None:
+            assert node.packing == ConvexFamily.from_masks(node.packing.masks())
+
+
 def test_supplied_invariants_must_match_computed():
     sp = random_separable(5, 3)
     b = halfspaces(sp)
@@ -308,17 +389,8 @@ def test_trace_structure():
 def test_build_counters_match_the_trace_dag():
     sp = cylinder_space(2)
     net = build_weak_net(sp, halfspaces(sp), Distribution.uniform(4), Fraction(1, 4))
-    seen = {id(net.trace): net.trace}
-    stack = [net.trace]
-    edges = 0
-    while stack:
-        node = stack.pop()
-        edges += len(node.children)
-        for _, child in node.children:
-            if id(child) not in seen:
-                seen[id(child)] = child
-                stack.append(child)
-    nodes = seen.values()
+    nodes = dag_nodes(net.trace)
+    edges = sum(len(node.children) for node in nodes)
     assert net.nodes == len(nodes) > 1
     assert net.supports == len({node.support for node in nodes}) < net.nodes
     assert net.memo_hits == edges - (net.nodes - 1) > 0
