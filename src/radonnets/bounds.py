@@ -156,8 +156,13 @@ def kneser_graph(n: int, k: int) -> KneserGraph:
     if n < 1 or k < 1 or k > n:
         raise ValueError("Kneser graph needs 1 <= k <= n")
     limit = size_cap()
-    if math.comb(n, k) > limit:
-        raise TooLargeForExact(f"KG_{{{n},{k}}} has {math.comb(n, k)} vertices, cap is {limit}")
+    # For j <= n/2, C(n, j) grows with j and is at least (n/j)^j >= 2^j,
+    # so the count passes the cap within log2(cap) + 1 steps.
+    count = 1
+    for j in range(min(k, n - k)):
+        count = count * (n - j) // (j + 1)
+        if count > limit:
+            raise TooLargeForExact(f"Kneser graph has more vertices than the cap of {limit}")
     subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
     return KneserGraph(n, k, subsets, _disjointness(subsets))
 

@@ -5,8 +5,8 @@ they favor verifiable exhaustive search over cleverness.  Both still need
 real pruning to finish on the sizes the test corpus uses:
 
 * chromatic number: connected components, greedy clique lower bound,
-  DSATUR upper bound, then iterative-deepening k-colorability with
-  saturation-degree branching and symmetry capping on fresh colors;
+  then iterative-deepening k-colorability with saturation-degree
+  branching and symmetry capping on fresh colors;
 * minimum weak net: branch and bound on inclusion-minimal dense sets with
   a disjoint-packing lower bound, then a second pass for the
   lexicographically least optimum.
@@ -115,38 +115,13 @@ def _greedy_clique(adj: Sequence[int], vertices: list[int]) -> list[int]:
     return clique
 
 
-def _dsatur(adj: Sequence[int], vertices: list[int]) -> tuple[int, dict[int, int]]:
-    color: dict[int, int] = {}
-    neighbor_colors: dict[int, int] = {v: 0 for v in vertices}
-    used = 0
-    for _ in vertices:
-        v = max(
-            (u for u in vertices if u not in color),
-            key=lambda u: (neighbor_colors[u].bit_count(), adj[u].bit_count(), -u),
-        )
-        free = ~neighbor_colors[v]
-        c = (free & -free).bit_length() - 1
-        color[v] = c
-        used = max(used, c + 1)
-        m = adj[v]
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if u in neighbor_colors:
-                neighbor_colors[u] |= 1 << c
-            m ^= low
-    return used, color
-
-
 def _k_colorable(adj: Sequence[int], vertices: list[int], k: int, clique: list[int]) -> bool:
     """Exact k-colorability by DSATUR-style DFS.
 
-    Seeds a clique with distinct colors, branches on the uncolored vertex
-    with the fewest available colors, and never tries more than one fresh
-    color (fresh colors are interchangeable).
+    Seeds a clique (of at most k vertices) with distinct colors, branches
+    on the uncolored vertex with the fewest available colors, and never
+    tries more than one fresh color (fresh colors are interchangeable).
     """
-    if len(clique) > k:
-        return False
     color: dict[int, int] = {}
     forbidden: dict[int, int] = {v: 0 for v in vertices}
     k_mask = (1 << k) - 1
@@ -171,10 +146,8 @@ def _k_colorable(adj: Sequence[int], vertices: list[int], k: int, clique: list[i
         for u in touched:
             forbidden[u] ^= bit
 
-    seeds = []
     for i, v in enumerate(clique):
-        seeds.append((v, i, assign(v, i)))
-    max_used = len(clique)
+        assign(v, i)
 
     def dfs(max_used: int) -> bool:
         if len(color) == len(vertices):
@@ -209,17 +182,17 @@ def _k_colorable(adj: Sequence[int], vertices: list[int], k: int, clique: list[i
             undo(best_v, c, touched)
         return False
 
-    ok = dfs(max_used)
+    ok = dfs(len(clique))
     del dfs  # breaks the closure's reference to itself
-    for v, c, touched in reversed(seeds):
-        undo(v, c, touched)
     return ok
 
 
 def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
     """Chromatic number, exactly.
 
-    Computed per connected component as the max over components.  Raises
+    Computed per connected component as the max over components: each
+    component is tried at k = max(best so far, greedy clique size) and k
+    rises until `_k_colorable` succeeds.  Raises
     `TooLarge` when the graph has more vertices than the cap (default:
     the package-wide size cap).
     """
@@ -235,16 +208,10 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
         if len(vs) == 1:
             continue
         clique = _greedy_clique(graph.adjacency, vs)
-        ub, _ = _dsatur(graph.adjacency, vs)
-        lo = max(best, len(clique))
-        hi = ub
-        k = lo
-        while k < hi:
-            if _k_colorable(graph.adjacency, vs, k, clique):
-                hi = k
-                break
+        k = max(best, len(clique))
+        while not _k_colorable(graph.adjacency, vs, k, clique):
             k += 1
-        best = max(best, hi)
+        best = k
     return best
 
 

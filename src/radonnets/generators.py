@@ -25,8 +25,8 @@ from .space import (
     ConvexFamily,
     ConvexitySpace,
     GroundSet,
-    GroundTooLarge,
     PointSet,
+    check_ground_size,
     intersection_closure,
     is_separable,
 )
@@ -167,16 +167,14 @@ def linear_extension_space(
     perms = [p for p in permutations(range(k)) if all(p.index(a) < p.index(b) for a, b in base)]
     if not perms:
         raise ValueError("the base relations contain a cycle")
-    if len(perms) > 64:
-        raise GroundTooLarge(f"{len(perms)} linear extensions exceed the 64-point cap")
-    labels = tuple("<".join(elems[i] for i in perm) for perm in perms)
+    ground = GroundSet(tuple("<".join(elems[i] for i in perm) for perm in perms))
     basis = [
         PointSet.from_indices(i for i, p in enumerate(perms) if p.index(a) < p.index(b))
         for a in range(k)
         for b in range(k)
         if a != b
     ]
-    return intersection_closure(GroundSet(labels), basis)
+    return intersection_closure(ground, basis)
 
 
 def random_separable(points: int, seed: int) -> ConvexitySpace:
@@ -188,6 +186,7 @@ def random_separable(points: int, seed: int) -> ConvexitySpace:
     """
     if points < 2:
         raise ValueError("random separable spaces need at least 2 points")
+    check_ground_size(points)  # before building one label per point
     ground = GroundSet(tuple(f"p{i}" for i in range(points)))
     rng = random.Random(seed)
     full = (1 << points) - 1

@@ -58,6 +58,13 @@ class GroundTooLarge(ValueError):
     pass
 
 
+def check_ground_size(count: int) -> None:
+    """Raise `GroundTooLarge` if a ground set of `count` points exceeds the cap."""
+    cap = size_cap()
+    if count > cap:
+        raise GroundTooLarge(f"ground set has {count} points, cap is {cap}")
+
+
 class ConsistencyError(RuntimeError):
     """A mathematical guarantee the package relies on failed at runtime."""
 
@@ -141,9 +148,7 @@ class GroundSet:
     def __post_init__(self) -> None:
         if not isinstance(self.labels, tuple):
             object.__setattr__(self, "labels", tuple(self.labels))
-        cap = size_cap()
-        if len(self.labels) > cap:
-            raise GroundTooLarge(f"ground set has {len(self.labels)} points, cap is {cap}")
+        check_ground_size(len(self.labels))
         seen = set()
         for lab in self.labels:
             if not isinstance(lab, str) or not lab or not lab.isprintable():

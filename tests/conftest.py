@@ -25,7 +25,6 @@ from radonnets import (
     EmptyIntersection,
     Graph,
     GroundSet,
-    GroundTooLarge,
     PointSet,
     cylinder_space,
     halfspaces,
@@ -565,8 +564,7 @@ def reference_linear_extension_space(
     if any(a == b for a, b in base_closed):
         raise ValueError("the base relations contain a cycle")
     perms = [p for p in permutations(range(k)) if all(p.index(a) < p.index(b) for a, b in base_closed)]
-    if len(perms) > 64:
-        raise GroundTooLarge(f"{len(perms)} linear extensions exceed the 64-point cap")
+    ground = GroundSet(tuple("<".join(elems[i] for i in perm) for perm in perms))
 
     def extensions(pairs: frozenset[tuple[int, int]]) -> int:
         return sum(1 << i for i, p in enumerate(perms) if all(p.index(a) < p.index(b) for a, b in pairs))
@@ -586,8 +584,7 @@ def reference_linear_extension_space(
                             masks.add(extensions(refined))
                             nxt.append(refined)
         frontier = nxt
-    labels = tuple("<".join(elems[i] for i in perm) for perm in perms)
-    return ConvexitySpace(GroundSet(labels), ConvexFamily.from_masks(masks))
+    return ConvexitySpace(ground, ConvexFamily.from_masks(masks))
 
 
 def _cross(o: tuple[int, int], a: tuple[int, int], b: tuple[int, int]) -> int:

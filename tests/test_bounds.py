@@ -144,6 +144,13 @@ def test_kneser_graph_cap(monkeypatch):
     monkeypatch.setenv("RADON_NETS_CAP", "120")
     kg = kneser_graph(10, 3)
     assert len(kg.subsets) == 120
+    # The cap check counts C(n, k) only until it passes the cap, so a
+    # binomial with hundreds of thousands of digits is refused at once.
+    with pytest.raises(TooLargeForExact, match="more vertices than the cap of 120"):
+        kneser_graph(10**6, 5 * 10**5)
+    monkeypatch.setenv("RADON_NETS_CAP", "119")
+    with pytest.raises(TooLargeForExact):
+        kneser_graph(10, 7)
 
 
 def test_kneser_quarter_check(monkeypatch):

@@ -309,11 +309,32 @@ def test_kneser_exact(capsys):
     assert result["matches_formula"] is True
 
 
-def test_kneser_alon(capsys):
+def test_kneser_alon(monkeypatch, capsys):
+    from radonnets import bounds, cli
+
+    real = cli.exact_chromatic_number
+    calls = []
+
+    def counted(graph):
+        calls.append(graph.vertex_count)
+        return real(graph)
+
+    monkeypatch.setattr(cli, "exact_chromatic_number", counted)
+    monkeypatch.setattr(bounds, "exact_chromatic_number", counted)
     report = run_json(capsys, "kneser", "--n", "8", "--alon")
     result = report["result"]
     assert result["k"] == 2
+    assert result["exact_chromatic"] == 6
     assert result["alon_check"] == {"threshold": "8/10", "holds": True}
+    assert calls == [28]  # the check reuses the chi it reports
+
+
+def test_kneser_graph_too_large_exits_2_at_once(capsys):
+    """C(10^6, 5*10^5) is never computed in full: the count stops at the cap."""
+    code, out, err = run_cli(capsys, "kneser", "--n", "1000000", "--k", "500000")
+    assert code == 2
+    assert out == ""
+    assert "more vertices than the cap of 64" in err
 
 
 def test_kneser_argument_errors(capsys):

@@ -27,6 +27,12 @@ PETERSEN = [
     (0, 5), (1, 6), (2, 7), (3, 8), (4, 9),
     (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
 ]
+# The Grötzsch graph, Mycielski of C5: 11 vertices, triangle-free, chi 4.
+GROTZSCH = [
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+    (5, 1), (5, 4), (6, 0), (6, 2), (7, 1), (7, 3), (8, 2), (8, 4), (9, 3), (9, 0),
+    (10, 5), (10, 6), (10, 7), (10, 8), (10, 9),
+]
 
 
 # --- graphs and coloring ---------------------------------------------------------
@@ -56,6 +62,8 @@ def test_chromatic_number_examples():
     k33 = Graph.from_edges(6, [(i, j) for i in range(3) for j in range(3, 6)])
     assert exact_chromatic_number(k33) == 2
     assert exact_chromatic_number(Graph.from_edges(10, PETERSEN)) == 3
+    # Triangle-free, so the search starts at k = 2 and fails at 2 and 3.
+    assert exact_chromatic_number(Graph.from_edges(11, GROTZSCH)) == 4
 
 
 def test_chromatic_number_handles_components():
@@ -63,6 +71,12 @@ def test_chromatic_number_handles_components():
     edges = list(combinations(range(3), 2)) + list(combinations(range(3, 7), 2))
     g = Graph.from_edges(7, edges)
     assert exact_chromatic_number(g) == 4
+    # The Grötzsch graph and a separate K3, in both vertex orders: the
+    # larger chi is found whether its component is searched first or last.
+    last = GROTZSCH + list(combinations(range(11, 14), 2))
+    assert exact_chromatic_number(Graph.from_edges(14, last)) == 4
+    first = list(combinations(range(3), 2)) + [(a + 3, b + 3) for a, b in GROTZSCH]
+    assert exact_chromatic_number(Graph.from_edges(14, first)) == 4
 
 
 def test_chromatic_number_matches_naive():

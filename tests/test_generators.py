@@ -157,8 +157,18 @@ def test_poset_space_validation():
         linear_extension_space(())
     with pytest.raises(ValueError):
         linear_extension_space(("a", "b"), [("a", "b"), ("b", "a")])
-    with pytest.raises(GroundTooLarge):
+    with pytest.raises(GroundTooLarge, match="ground set has 120 points, cap is 64"):
         linear_extension_space(("a", "b", "c", "d", "e"))
+
+
+def test_poset_space_obeys_the_size_cap(monkeypatch):
+    """`GroundSet` is the one home of the ground cap: five free elements
+    give 120 extensions, which a raised cap admits."""
+    monkeypatch.setenv("RADON_NETS_CAP", "120")
+    elements = ("a", "b", "c", "d", "e")
+    labels, masks = _outcome(linear_extension_space, elements, ())
+    assert (len(labels), len(masks)) == (120, 4232)
+    assert (labels, masks) == _outcome(reference_linear_extension_space, elements, ())
 
 
 def _outcome(build, *args):
@@ -241,6 +251,13 @@ def test_random_separable_is_deterministic():
     assert random_separable(5, 43).convex.masks() != a.convex.masks()
     with pytest.raises(ValueError):
         random_separable(1, 0)
+
+
+def test_random_separable_checks_the_cap_before_labelling():
+    """A point count over the cap is refused before one label per point
+    is built, so a huge count costs no memory."""
+    with pytest.raises(GroundTooLarge, match="ground set has 1000000000000 points, cap is 64"):
+        random_separable(10**12, 1)
 
 
 def test_generator_spec_dispatch():
