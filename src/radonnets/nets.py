@@ -1,4 +1,4 @@
-"""Weak epsilon-nets by recursive Helly piercing and packing.
+"""Weak epsilon-nets by Helly piercing and packing, level by level.
 
 Given a separable convexity space whose half-space family has Helly
 number h and VC dimension v, the builder returns a point set hitting
@@ -16,15 +16,16 @@ every convex set of measure at least eps:
 
 The amplification gives a recursion depth of N(eps) = min { n :
 eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
-so a node is fixed by its (support, level) and built once.  Only delta
-depends on the level: each support's mass and piercing point are computed
-once per build, and so is the mass of each masked symmetric difference
-(a ^ b) & m that the packings compare against delta.  On a support m two
-half-spaces with one trace b & m are at distance 0, so packings run over
-the distinct traces, one half-space each (the first in canonical order),
-and come out in canonical order without a sort.  All threshold
-comparisons are exact, made in integers: on the distribution's integer
-weights (`Distribution.mass`) against each level's delta p/q.
+so a node is fixed by its (support, level), and the build is a loop over
+the levels and their distinct supports.  Only delta depends on the level:
+supports' masses, lightest weights and piercing points, and the masses of
+the masked symmetric differences (a ^ b) & m that packings compare
+against delta, are computed once per build.  On a support m half-spaces
+with one trace b & m are at distance 0, so packings run over the distinct
+traces, one half-space each (the first in canonical order, so no sort),
+and take them all when each point of m has mu_m-weight above delta.  All
+comparisons are exact, in integers (`Distribution.mass` against delta p/q).
+The recursion trace is built from a flat per-level record when read.
 
 The finished net is checked against every convex set of the space; a
 failure (only possible when the space is not separable or the supplied
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -150,18 +151,38 @@ class NetNode:
 
 @dataclass(frozen=True, slots=True)
 class WeakNet:
-    """The net, its recursion trace and a-priori size bound, and the build's
-    counters: (support, level) nodes, distinct supports, child edges that
-    found their node already built, and the largest packing."""
+    """The net, its a-priori size bound, and the build's counters: (support,
+    level) nodes, distinct supports, child edges that found their node
+    already built, and the largest packing.  `trace` is built on first read
+    from `_levels`: per level, its threshold and its nodes (support,
+    piercing point, packing as (trace, half-space) pairs, None at the leaves)."""
 
     points: PointSet
-    trace: NetNode
     size_bound: float
     params: NetParams
     nodes: int
     supports: int
     memo_hits: int
     max_packing: int
+    _levels: tuple = field(repr=False)
+    _trace: Optional[NetNode] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def trace(self) -> NetNode:
+        """One NetNode per (support, level), each shared by all its parents."""
+        if self._trace is None:
+            below: dict[int, NetNode] = {}
+            for level_eps, here in reversed(self._levels):
+                made = {}
+                for m, x0, chosen in here:
+                    sets = None if chosen is None else tuple(s for _, s in chosen)
+                    packing = None if sets is None else ConvexFamily.from_canonical(sets)
+                    children = tuple((s, below[t]) for t, s in chosen or () if t)
+                    made[m] = NetNode(x0, level_eps, PointSet(m), packing, children)
+                below = made
+            (root,) = below.values()
+            object.__setattr__(self, "_trace", root)
+        return self._trace
 
 
 class NetCheck(NamedTuple):
@@ -217,8 +238,9 @@ def build_weak_net(
     number and VC dimension are computed when not supplied; supplying
     them is an assertion, and a wrong Helly number surfaces as
     `EmptyIntersection` or a failed final verification, never as a bad
-    net.  The returned net carries the recursion trace and the a-priori
-    size bound (120 h^2 / eps)^(4 h v ln(1/eps)).
+    net.  The returned net carries the a-priori size bound
+    (120 h^2 / eps)^(4 h v ln(1/eps)), and its recursion trace, built
+    on first access.
     """
     from .invariants import helly_number, vc_dimension
 
@@ -234,8 +256,7 @@ def build_weak_net(
 
     params = _net_params(eps, h, v)
     eps, depth = params.eps, params.depth
-    # `recurse` takes one frame per level, below the frames already in use
-    # and above the few (measure lookups, warnings) that a node opens.
+    # Nothing else bounds depth times the digits of each level's eps yet: the frames left cap it.
     frame, room = sys._getframe(), sys.getrecursionlimit() - 50
     while frame is not None:
         frame, room = frame.f_back, room - 1
@@ -243,108 +264,86 @@ def build_weak_net(
         raise ValueError(
             f"eps needs {depth} recursion levels; the recursion limit allows {max(room, 0)}"
         )
-    # Per level: the running threshold eps (1 + 1/(2h))^level, its delta as
-    # p/q in lowest terms, and Haussler's cap (4e^2/delta)^v in log space
-    # (float(delta) underflows).
-    levels: list[tuple[Fraction, int, int, float]] = []
+    # Only delta depends on the level, so the rest is computed once per build.
+    # Per support m: its mass, lightest point weight and piercing point, and
+    # its distinct traces t = b & m, each with the first half-space in
+    # canonical order that has it.  Per build: the raw mass of every masked
+    # symmetric difference t ^ t' = (b ^ b') & m.  Per level: the running
+    # threshold e = eps (1 + 1/(2h))^level, its delta as p/q in lowest terms,
+    # Haussler's cap (4e^2/delta)^v in log space (float(delta) underflows),
+    # and the frontier of the level's distinct supports.
+    pierced: dict[int, tuple[int, int, int, tuple[tuple[int, PointSet], ...]]] = {}
+    masses: dict[int, int] = {}
+    wsum, nums = mu.mass, mu.nums
+    record, frontier = [], {mu.support().mask: None}
+    points_mask = edges = max_packing = 0
     e, grow, hh = eps, 1 + Fraction(1, 2 * h), 4 * h * h
-    for _ in range(depth + 1):
+    for level in range(depth + 1):
         g = math.gcd(e.numerator, hh)
         p, q = e.numerator // g, e.denominator * (hh // g)
-        levels.append((e, p, q, v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))))
-        e *= grow
+        log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
+        here, below = [], {}
+        for m in frontier:
+            got = pierced.get(m)
+            if got is None:
+                w_m = wsum(m)
+                # Half-spaces with one trace share their mass on m: each trace
+                # is tested once, and if dense ANDs in the meet of its half-spaces.
+                first: dict[int, PointSet] = {}
+                meet: dict[int, int] = {}
+                for b, s in members:
+                    t = b & m
+                    if t in meet:
+                        meet[t] &= b
+                    else:
+                        first[t], meet[t] = s, b
+                inter = full
+                for t, b in meet.items():
+                    # mu_m(t) > 1 - 1/h, cross-multiplied.
+                    if h * wsum(t) > (h - 1) * w_m:
+                        inter &= b
+                if inter == 0:
+                    raise EmptyIntersection(
+                        "dense half-spaces have empty intersection; the Helly number is wrong"
+                    )
+                x0 = (inter & -inter).bit_length() - 1
+                w_min = min(nums[i] for i in range(m.bit_length()) if m >> i & 1)
+                got = pierced[m] = (w_m, w_min, x0, tuple(first.items()))
+                points_mask |= 1 << x0
+            w_m, w_min, x0, traces = got
+            if level == depth:
+                here.append((m, x0, None))
+                continue
+            # Distinct traces differ in a point of m, of weight at least w_min:
+            # if that beats delta all are packed, else those beyond delta of
+            # all packed before, in family order, so the packing is canonical.
+            pw = p * w_m
+            chosen = traces
+            if q * w_min <= pw:
+                kept: list[tuple[int, PointSet]] = []
+                for t, s in traces:
+                    for ta, _ in kept:
+                        diff = t ^ ta
+                        if diff not in masses:
+                            masses[diff] = wsum(diff)
+                        if q * masses[diff] <= pw:
+                            break
+                    else:
+                        kept.append((t, s))
+                chosen = tuple(kept)
+            if chosen and math.log(len(chosen)) > log_cap:
+                size, cap = len(chosen), math.exp(log_cap)
+                message = f"packing of size {size} exceeds the VC bound {cap:.3g}"
+                warnings.warn(message, PackingBoundWarning)
+            here.append((m, x0, chosen))
+            max_packing = max(max_packing, len(chosen))
+            # m lies inside the support of mu, so a child t = m & a has mass iff t != 0.
+            kids = [t for t, _ in chosen if t]
+            below.update(dict.fromkeys(kids))
+            edges += len(kids)
+        record.append((e, tuple(here)))
+        frontier, e = below, e * grow
 
-    wsum = mu.mass
-    support0 = mu.support().mask
-
-    # Piercing and packing distances do not depend on the level (only delta
-    # does), so they are computed once per build.  Per support m: its mass,
-    # piercing point and PointSet, and its distinct traces t = b & m, each
-    # with the first half-space in canonical order that has it.  Per build:
-    # the raw mass of every masked symmetric difference t ^ t' = (b ^ b') & m.
-    pierced: dict[int, tuple[int, int, PointSet, list[tuple[int, PointSet]]]] = {}
-    masses: dict[int, int] = {}
-    memo: dict[tuple[int, int], tuple[NetNode, int]] = {}
-    edges = max_packing = 0
-
-    def recurse(m: int, level: int) -> tuple[NetNode, int]:
-        nonlocal edges, max_packing
-        got = pierced.get(m)
-        if got is None:
-            w_m = wsum(m)
-            # Half-spaces with one trace share their mass on m: each trace is
-            # tested once, and if dense ANDs in the meet of its half-spaces.
-            first: dict[int, PointSet] = {}
-            meet: dict[int, int] = {}
-            for b, s in members:
-                t = b & m
-                if t in meet:
-                    meet[t] &= b
-                else:
-                    first[t], meet[t] = s, b
-            inter = full
-            for t, b in meet.items():
-                # mu_m(t) > 1 - 1/h, cross-multiplied.
-                if h * wsum(t) > (h - 1) * w_m:
-                    inter &= b
-            if inter == 0:
-                raise EmptyIntersection(
-                    "dense half-spaces have empty intersection; the Helly number is wrong"
-                )
-            x0 = (inter & -inter).bit_length() - 1
-            got = pierced[m] = (w_m, x0, PointSet(m), list(first.items()))
-        w_m, x0, support, traces = got
-        level_eps, p, q, log_cap = levels[level]
-        key = (m, level)
-        if level >= depth:
-            node = NetNode(x0, level_eps, support, None, ())
-            memo[key] = (node, 1 << x0)
-            return node, 1 << x0
-        # A later half-space with an earlier one's trace is at distance 0
-        # from it, so the packing scans one half-space per trace; what it
-        # chooses is a subsequence of the family, so already canonical.
-        pw = p * w_m
-        chosen: list[tuple[int, PointSet]] = []
-        for t, s in traces:
-            for ta, _ in chosen:
-                diff = t ^ ta
-                mass = masses.get(diff)
-                if mass is None:
-                    mass = masses[diff] = wsum(diff)
-                if q * mass <= pw:
-                    break
-            else:
-                chosen.append((t, s))
-        if chosen and math.log(len(chosen)) > log_cap:
-            warnings.warn(
-                f"packing of size {len(chosen)} exceeds the VC bound {math.exp(log_cap):.3g}",
-                PackingBoundWarning,
-            )
-        points = 1 << x0
-        children = []
-        for t, s in chosen:
-            # m lies inside the support of mu, so the child t = m & a has
-            # mass iff it is non-empty.
-            if t:
-                child, cpts = memo.get((t, level + 1)) or recurse(t, level + 1)
-                children.append((s, child))
-                points |= cpts
-        node = NetNode(
-            x0,
-            level_eps,
-            support,
-            ConvexFamily.from_canonical(tuple(s for _, s in chosen)),
-            tuple(children),
-        )
-        edges += len(children)
-        max_packing = max(max_packing, len(chosen))
-        memo[key] = (node, points)
-        return node, points
-
-    root, points_mask = recurse(support0, 0)
-    # `recurse` refers to itself through its closure; dropping the name
-    # breaks that cycle, so the memo is freed by reference counting.
-    del recurse
     points = PointSet(points_mask)
     bound = size_bound_value(eps, h, v)
     if len(points) > bound:
@@ -357,5 +356,6 @@ def build_weak_net(
             f"built net misses the dense convex set {check.counterexample}; "
             "the space is not separable or the Helly number is wrong"
         )
-    nodes = len(memo)
-    return WeakNet(points, root, bound, params, nodes, len(pierced), edges - (nodes - 1), max_packing)
+    nodes = sum(len(here) for _, here in record)
+    hits = edges - (nodes - 1)
+    return WeakNet(points, bound, params, nodes, len(pierced), hits, max_packing, tuple(record))

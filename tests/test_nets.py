@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -311,7 +312,12 @@ def test_trace_equality_compares_each_node_pair_once():
 
     changed = copy(two.trace)
     assert changed != one.trace and one.trace != changed
-    assert replace(one, trace=changed) != one
+    # A net compares the level record its trace is built from; moving the
+    # same leaf's point there gives a different net with the changed trace.
+    last_eps, leaves = one._levels[-1]
+    moved = tuple((m, x0 ^ 1 if m == leaf.support.mask else x0, None) for m, x0, _ in leaves)
+    other = replace(one, _levels=one._levels[:-1] + ((last_eps, moved),))
+    assert other != one and other.trace == changed
 
 
 @st.composite
@@ -345,9 +351,73 @@ def test_net_matches_the_per_level_recursion_on_random_closures(case):
     ref = reference_build_weak_net(space, b, mu, eps, h, v)
     assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params)
     assert same_trace(net.trace, ref.trace)
-    for node in dag_nodes(net.trace):
+    nodes = dag_nodes(net.trace)
+    for node in nodes:
         if node.packing is not None:
             assert node.packing == ConvexFamily.from_masks(node.packing.masks())
+    # The build counts its level record, not the DAG.
+    edges = sum(len(node.children) for node in nodes)
+    packings = [len(node.packing) for node in nodes if node.packing is not None]
+    supports = len({node.support for node in nodes})
+    dag = (len(nodes), supports, edges - (len(nodes) - 1), max(packings, default=0))
+    assert (net.nodes, net.supports, net.memo_hits, net.max_packing) == dag
+
+
+def test_greedy_packing_drops_traces_within_delta(corpus):
+    """When some point of a support weighs no more than delta, the packing
+    scans the traces greedily.  On this tree and measure it drops traces
+    at eps 1/4 and 1/2, and the trace still matches the reference."""
+    sp = dict(corpus)["tree-8v-16"]
+    b = halfspaces(sp)
+    h, v = helly_number(b)[0], vc_dimension(b, sp.ground.size)[0]
+    mu = Distribution.from_integer_weights([5, 5, 1, 4, 6, 6, 6, 1])
+    for eps in (Fraction(1, 4), Fraction(1, 2)):
+        net = build_weak_net(sp, b, mu, eps, helly=h, vc=v)
+        ref = reference_build_weak_net(sp, b, mu, eps, h, v)
+        assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params)
+        assert same_trace(net.trace, ref.trace)
+        dropped = [
+            node
+            for node in dag_nodes(net.trace)
+            if node.packing is not None
+            and len(node.packing) < len({s.mask & node.support.mask for s in b})
+        ]
+        assert dropped, eps
+
+
+def test_trace_is_built_on_first_read(monkeypatch):
+    """The build makes no NetNode; the first read of `trace` makes one per
+    (support, level) node, and later reads return the same DAG."""
+    made = []
+
+    def counted(*fields):
+        made.append(fields[2])  # the support: a short repr if an assertion fails
+        return NetNode(*fields)
+
+    monkeypatch.setattr("radonnets.nets.NetNode", counted)
+    sp = lattice_convex_space(2, 3)
+    net = build_weak_net(sp, halfspaces(sp), Distribution.uniform(sp.ground.size), Fraction(1, 4))
+    assert made == [] and net.nodes > 100
+    trace = net.trace
+    assert len(made) == net.nodes == len(dag_nodes(trace))
+    assert net.trace is trace and len(made) == net.nodes
+
+
+def test_deep_trace_is_read_and_compared_without_recursion():
+    """A net of more than 3,000 levels needs a raised recursion limit to
+    build, but reading, comparing and hashing its trace do not."""
+    path = subtree_space([("a", "b"), ("b", "c")])
+    b, mu, eps = halfspaces(path), Distribution.uniform(3), Fraction(1, 10**400)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 5000)
+    try:
+        one, two = (build_weak_net(path, b, mu, eps) for _ in range(2))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert one.params.depth > 3000 and one.nodes > one.params.depth
+    assert one.trace is not two.trace
+    assert one.trace == two.trace and hash(one.trace) == hash(two.trace)
+    assert one == two
 
 
 def test_supplied_invariants_must_match_computed():
@@ -449,8 +519,9 @@ def test_net_size_never_beats_the_oracle():
 
 
 def test_library_calls_leave_no_reference_cycles():
-    """The recursive helpers free their memos by reference counting, so a
-    call leaves nothing for the cycle collector."""
+    """The recursive helpers free their memos by reference counting, and a
+    net's trace holds no reference back to it, so a call leaves nothing for
+    the cycle collector."""
     import gc
 
     from radonnets import analyze, exact_chromatic_number, kneser_graph, lattice_convex_space
@@ -461,6 +532,7 @@ def test_library_calls_leave_no_reference_cycles():
     calls = [
         lambda: analyze(sp),
         lambda: build_weak_net(sp, b, mu, Fraction(1, 4)),
+        lambda: build_weak_net(sp, b, mu, Fraction(1, 4)).trace,
         lambda: minimal_weak_net(sp, mu, Fraction(1, 4)),
         lambda: exact_chromatic_number(kneser_graph(7, 2).graph),
     ]
