@@ -7,9 +7,10 @@ real pruning to finish on the sizes the test corpus uses:
 * chromatic number: connected components, greedy clique lower bound,
   then iterative-deepening k-colorability with saturation-degree
   branching and symmetry capping on fresh colors;
-* minimum weak net: branch and bound on inclusion-minimal dense sets with
-  a disjoint-packing lower bound, then a second pass for the
-  lexicographically least optimum.
+* minimum weak net: one lexicographic hitting-set search over the
+  inclusion-minimal dense sets, run at each size from a disjoint-packing
+  lower bound up; the first size that succeeds is the optimum, and the
+  set it finds is the lexicographically least optimal net.
 """
 
 from __future__ import annotations
@@ -259,96 +260,63 @@ def hitting_instance(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> 
     return HittingSetInstance(_minimal_dense_sets(space, mu, eps))
 
 
+def _packing_bound(targets: list[int], allowed: int) -> int:
+    """Greedy count of targets pairwise disjoint on `allowed`, smallest
+    first: a hitting set inside `allowed` needs at least that many points."""
+    used = 0
+    cnt = 0
+    for t in sorted(targets, key=lambda t: (t & allowed).bit_count()):
+        if t & allowed & used == 0:
+            used |= t & allowed
+            cnt += 1
+    return cnt
+
+
+def _lex_least(remaining: list[int], chosen: int, start: int, size: int) -> Optional[int]:
+    """Lexicographically least hitting set of at most `size` points that
+    extends `chosen` by points >= `start`, or None.
+
+    Picks ascend, so the DFS meets candidates in lex order; each prune cuts
+    only branches that hold no solution.  A pick comes from an unhit
+    target: every point of an irredundant net is the only hit of some
+    target, so no optimum is lost.
+    """
+    if not remaining:
+        return chosen
+    allowed = -1 << start
+    pool = 0
+    cap = -1
+    for t in remaining:
+        t &= allowed
+        if not t:
+            return None
+        pool |= t
+        # Later picks are higher, so t must be hit at or below its top point.
+        cap &= (1 << t.bit_length()) - 1
+    if _packing_bound(remaining, allowed) > size - chosen.bit_count():
+        return None
+    m = pool & cap
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
+        got = _lex_least([t for t in remaining if not t & low], chosen | low, v + 1, size)
+        if got is not None:
+            return got
+    return None
+
+
 def minimal_weak_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[int, PointSet]:
     """Exact minimum size of a weak eps-net, with a witness.
 
     A weak net must contain a point of every convex set of measure >= eps.
-    Returns the minimum size and the lexicographically least optimal net.
+    Returns the minimum size and the lexicographically least optimal net:
+    the lex search runs at each size from the packing bound up, and the
+    first size it succeeds at is the optimum.
     """
     targets = [t.mask for t in hitting_instance(space, mu, eps).targets]
-    if not targets:
-        return 0, PointSet(0)
-    full = space.full.mask
-
-    def greedy_bound() -> int:
-        remaining = list(targets)
-        picked = 0
-        while remaining:
-            counts: dict[int, int] = {}
-            for t in remaining:
-                m = t & ~picked
-                while m:
-                    low = m & -m
-                    counts[low.bit_length() - 1] = counts.get(low.bit_length() - 1, 0) + 1
-                    m ^= low
-            v = max(counts, key=lambda i: (counts[i], -i))
-            picked |= 1 << v
-            remaining = [t for t in remaining if t & picked == 0]
-        return picked.bit_count()
-
-    def packing_bound(remaining: list[int], allowed: int) -> int:
-        used = 0
-        cnt = 0
-        for t in sorted(remaining, key=lambda t: (t & allowed).bit_count()):
-            if t & allowed & used == 0:
-                used |= t & allowed
-                cnt += 1
-        return cnt
-
-    best = greedy_bound()
-
-    def search(remaining: list[int], chosen: int, allowed: int) -> None:
-        nonlocal best
-        if not remaining:
-            best = min(best, chosen.bit_count())
-            return
-        if chosen.bit_count() + packing_bound(remaining, allowed) >= best:
-            return
-        # Branch on the hardest target: fewest candidate points.
-        target = min(remaining, key=lambda t: ((t & allowed).bit_count(), t))
-        m = target & allowed
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            nxt = [t for t in remaining if not (t >> v) & 1]
-            search(nxt, chosen | (1 << v), allowed)
-            # Covers containing v were all explored above; ban it below.
-            allowed &= ~(1 << v)
-
-    search(targets, 0, full)
-    del search  # breaks the closure's reference to itself
-
-    # Second pass: reconstruct the lexicographically least net of the
-    # optimal size.  Optimal nets are irredundant, so every picked point
-    # can be charged to a target it alone covers; restricting picks to
-    # points of still-uncovered targets loses no optimum.
-    size = best
-
-    def lex_least(remaining: list[int], chosen: list[int], start: int) -> Optional[list[int]]:
-        if not remaining:
-            return list(chosen)
-        if len(chosen) == size:
-            return None
-        if packing_bound(remaining, full) > size - len(chosen):
-            return None
-        pool = 0
-        for t in remaining:
-            pool |= t
-        m = pool >> start << start
-        while m:
-            low = m & -m
-            v = low.bit_length() - 1
-            m ^= low
-            chosen.append(v)
-            got = lex_least([t for t in remaining if not (t >> v) & 1], chosen, v + 1)
-            if got is not None:
-                return got
-            chosen.pop()
-        return None
-
-    witness = lex_least(targets, [], 0)
-    del lex_least  # breaks the closure's reference to itself
-    if witness is None:
-        raise ConsistencyError("optimal size verified but no witness found")
-    return size, PointSet.from_indices(witness)
+    for size in range(_packing_bound(targets, -1), len(targets) + 1):
+        witness = _lex_least(targets, 0, 0, size)
+        if witness is not None:
+            return size, PointSet(witness)
+    raise ConsistencyError("no net of at most one point per minimal dense set hits them all")

@@ -118,13 +118,15 @@ def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
 @dataclass(frozen=True, slots=True)
 class NetNode:
     """One recursion node: its piercing point, threshold, support, and the
-    packing elements it recursed into (empty for base-case leaves)."""
+    packing elements it recursed into (empty for base-case leaves).  The
+    repr leaves out the children: a trace is a DAG, and printing it as a
+    tree is exponential in it."""
 
     x0: int
     eps: Fraction
     support: PointSet
     packing: Optional[ConvexFamily]
-    children: tuple[tuple[PointSet, "NetNode"], ...]
+    children: tuple[tuple[PointSet, "NetNode"], ...] = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         # Field by field, as a dataclass compares, but each pair of nodes only

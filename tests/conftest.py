@@ -261,18 +261,16 @@ def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -
     return DisjointnessGraph(tuple(sets), Graph.from_edges(len(sets), edges))
 
 
-def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> int:
+def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[int, PointSet]:
+    """Smallest weak net size and the first net of that size to hit every
+    dense set; combinations come in lex order, so it is the lex-least one."""
     targets = [s.mask for s in naive_dense_sets(space, mu, eps)]
-    if not targets:
-        return 0
     n = space.ground.size
-    for size in range(1, n + 1):
+    for size in range(n + 1):
         for combo in combinations(range(n), size):
-            picked = 0
-            for i in combo:
-                picked |= 1 << i
-            if all(t & picked for t in targets):
-                return size
+            witness = PointSet.from_indices(combo)
+            if all(t & witness.mask for t in targets):
+                return size, witness
     raise AssertionError("unreachable: the whole ground set hits everything")
 
 

@@ -3,10 +3,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonnets import (
     Distribution,
     Graph,
+    GroundSet,
     PointSet,
     TooLarge,
     chromatic_lower_bound,
@@ -14,11 +17,13 @@ from radonnets import (
     dense_sets,
     exact_chromatic_number,
     hitting_instance,
+    intersection_closure,
     measure,
     minimal_weak_net,
     power_set_space,
     verify_weak_net,
 )
+from radonnets.exact import _packing_bound
 
 from conftest import naive_chromatic, naive_min_net, seeded_distribution
 
@@ -179,32 +184,46 @@ def test_minimum_net_on_four_cylinders():
     assert labels == ("0000", "0011", "0101", "1001", "1110")
 
 
+def test_minimum_net_refutes_sizes_above_the_packing_bound():
+    """Every pair of the 5 points is dense at eps 1/4, so two disjoint pairs
+    give a packing bound of 2, but a net must be a vertex cover of K5: the
+    search refutes sizes 2 and 3 before it finds one of size 4."""
+    sp = power_set_space(5)
+    mu = Distribution.uniform(5)
+    eps = Fraction(1, 4)
+    targets = [t.mask for t in hitting_instance(sp, mu, eps).targets]
+    assert _packing_bound(targets, -1) == 2
+    assert minimal_weak_net(sp, mu, eps) == (4, PointSet.from_indices([0, 1, 2, 3]))
+
+
 def test_minimum_net_matches_naive():
     from radonnets import random_separable
 
-    for seed in range(20):
-        sp = random_separable(3 + seed % 4, seed)
-        mu = seeded_distribution(sp.ground.size, f"net/{seed}")
-        for eps in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            size, witness = minimal_weak_net(sp, mu, eps)
-            assert size == naive_min_net(sp, mu, eps)
-            assert len(witness) == size
-            for t in hitting_instance(sp, mu, eps).targets:
-                assert not witness.isdisjoint(t)
+    spread = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+    cases = [(random_separable(3 + seed % 4, seed), f"net/{seed}", spread) for seed in range(20)]
+    cases += [(random_separable(4, seed), f"lex/{seed}", (Fraction(1, 3),)) for seed in range(10)]
+    for sp, label, epsilons in cases:
+        mu = seeded_distribution(sp.ground.size, label)
+        for eps in epsilons:
+            assert minimal_weak_net(sp, mu, eps) == naive_min_net(sp, mu, eps)
 
 
-def test_minimum_net_witness_is_lex_least():
-    from radonnets import random_separable
+@st.composite
+def hitting_inputs(draw):
+    """An intersection closure of an arbitrary basis on 2 to 7 points (so
+    not always separable), an integer measure with at least one non-zero
+    weight, and an eps."""
+    n = draw(st.integers(2, 7))
+    basis = [PointSet(m) for m in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))]
+    space = intersection_closure(GroundSet(tuple(f"p{i}" for i in range(n))), basis)
+    nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    nums[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
+    eps = draw(st.sampled_from([Fraction(1, k) for k in (5, 4, 3, 2)] + [Fraction(3, 4)]))
+    return space, Distribution.from_integer_weights(nums), eps
 
-    for seed in range(10):
-        sp = random_separable(4, seed)
-        mu = seeded_distribution(4, f"lex/{seed}")
-        eps = Fraction(1, 3)
-        size, witness = minimal_weak_net(sp, mu, eps)
-        targets = [t.mask for t in hitting_instance(sp, mu, eps).targets]
-        optima = [
-            PointSet.from_indices(c)
-            for c in combinations(range(4), size)
-            if all(any(i in PointSet(t) for i in c) for t in targets)
-        ]
-        assert witness == min(optima, key=lambda p: p.sort_key)
+
+@settings(max_examples=200, deadline=None)
+@given(hitting_inputs())
+def test_minimal_weak_net_matches_naive_on_random_closures(case):
+    space, mu, eps = case
+    assert minimal_weak_net(space, mu, eps) == naive_min_net(space, mu, eps)

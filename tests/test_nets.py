@@ -420,6 +420,18 @@ def test_deep_trace_is_read_and_compared_without_recursion():
     assert one == two
 
 
+def test_trace_repr_leaves_out_the_children():
+    """A node's repr shows only its own fields: printed as a tree, a trace
+    DAG is exponential in its size, and a deep one overflowed the stack."""
+    path = subtree_space([("a", "b"), ("b", "c")])
+    deep = build_weak_net(path, halfspaces(path), Distribution.uniform(3), Fraction(1, 10**80))
+    assert deep.params.depth > 800
+    assert repr(deep.trace).startswith("NetNode(x0=")
+    sp = lattice_convex_space(2, 3)
+    root = build_weak_net(sp, halfspaces(sp), Distribution.uniform(6), Fraction(1, 4)).trace
+    assert root.children and repr(root).count("NetNode(") == 1
+
+
 def test_supplied_invariants_must_match_computed():
     sp = random_separable(5, 3)
     b = halfspaces(sp)
@@ -534,6 +546,7 @@ def test_library_calls_leave_no_reference_cycles():
         lambda: build_weak_net(sp, b, mu, Fraction(1, 4)),
         lambda: build_weak_net(sp, b, mu, Fraction(1, 4)).trace,
         lambda: minimal_weak_net(sp, mu, Fraction(1, 4)),
+        lambda: minimal_weak_net(power_set_space(5), Distribution.uniform(5), Fraction(1, 4)),
         lambda: exact_chromatic_number(kneser_graph(7, 2).graph),
     ]
     enabled = gc.isenabled()
