@@ -200,12 +200,28 @@ def test_minimum_net_matches_naive():
     from radonnets import random_separable
 
     spread = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
-    cases = [(random_separable(3 + seed % 4, seed), f"net/{seed}", spread) for seed in range(20)]
-    cases += [(random_separable(4, seed), f"lex/{seed}", (Fraction(1, 3),)) for seed in range(10)]
-    for sp, label, epsilons in cases:
-        mu = seeded_distribution(sp.ground.size, label)
-        for eps in epsilons:
+    for seed in range(20):
+        sp = random_separable(3 + seed % 4, seed)
+        mu = seeded_distribution(sp.ground.size, f"net/{seed}")
+        for eps in spread:
             assert minimal_weak_net(sp, mu, eps) == naive_min_net(sp, mu, eps)
+
+
+def test_minimum_net_witness_is_lex_least():
+    from radonnets import random_separable
+
+    for seed in range(10):
+        sp = random_separable(4, seed)
+        mu = seeded_distribution(4, f"lex/{seed}")
+        eps = Fraction(1, 3)
+        size, witness = minimal_weak_net(sp, mu, eps)
+        targets = [t.mask for t in hitting_instance(sp, mu, eps).targets]
+        optima = [
+            PointSet.from_indices(c)
+            for c in combinations(range(4), size)
+            if all(any(i in PointSet(t) for i in c) for t in targets)
+        ]
+        assert witness == min(optima, key=lambda p: p.sort_key)
 
 
 @st.composite
