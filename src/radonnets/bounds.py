@@ -120,8 +120,8 @@ def radon_lower_bound(space: ConvexitySpace, eps: Fraction) -> LowerBoundCertifi
 
     Synthesizes the uniform measure on a maximum shattered set Y (size
     r), for which any weak eps-net needs chi(KG_{r, ceil(eps*r)}) points.
-    Reports the Kneser closed form r - 2k + 2 when r >= 2k (it dominates
-    the rounded (1 - 2 eps) r form), otherwise that rounded form.
+    Reports `kneser_chromatic_number(r, k)`: the Lovasz closed form
+    r - 2k + 2 when r >= 2k, otherwise 1, since KG_{r,k} has no edges.
     """
     eps = Fraction(eps)
     if not 0 < eps <= 1:
@@ -132,12 +132,8 @@ def radon_lower_bound(space: ConvexitySpace, eps: Fraction) -> LowerBoundCertifi
         raise ValueError("the ground set is empty")
     mu = Distribution.uniform_on(space.ground.size, witness)
     k = math.ceil(eps * r)
-    if r >= 2 * k:
-        bound = r - 2 * k + 2
-        method = "lovasz-closed-form"
-    else:
-        bound = max(1, math.ceil((1 - 2 * eps) * r))
-        method = "kneser-formula"
+    method = "lovasz-closed-form" if r >= 2 * k else "kneser-formula"
+    bound = kneser_chromatic_number(r, k)
     return LowerBoundCertificate(mu=mu, eps=eps, bound=bound, method=method, support=witness)
 
 

@@ -20,7 +20,6 @@ import functools
 import hashlib
 import json
 import math
-import re
 import sys
 import time
 from fractions import Fraction
@@ -39,6 +38,7 @@ from .generators import GENERATORS, GeneratorSpec
 from .invariants import analyze
 from .nets import build_weak_net
 from .space import (
+    _FRACTION_RE,
     ConsistencyError,
     ConvexitySpace,
     Distribution,
@@ -48,11 +48,9 @@ from .space import (
     parse_space_file,
 )
 
-_EPS_RE = re.compile(r"^(\d+)/([1-9]\d*)$")
-
 
 def _eps_arg(text: str) -> Fraction:
-    m = _EPS_RE.match(text)
+    m = _FRACTION_RE.match(text)
     if not m:
         raise argparse.ArgumentTypeError(f"eps must be an exact fraction 'p/q', got {text!r}")
     eps = Fraction(int(m.group(1)), int(m.group(2)))

@@ -6,7 +6,8 @@ real pruning to finish on the sizes the test corpus uses:
 
 * chromatic number: connected components, greedy clique lower bound,
   then iterative-deepening k-colorability with saturation-degree
-  branching and symmetry capping on fresh colors;
+  branching and symmetry capping on fresh colors; the coloring state is
+  bit masks passed as arguments, copied per branch;
 * minimum weak net: one lexicographic hitting-set search over the
   inclusion-minimal dense sets, run at each size from a disjoint-packing
   lower bound up; the first size that succeeds is the optimum, and the
@@ -103,114 +104,84 @@ def _components(adj: Sequence[int], n: int) -> list[int]:
     return comps
 
 
-def _greedy_clique(adj: Sequence[int], vertices: list[int]) -> list[int]:
-    order = sorted(vertices, key=lambda v: (-(adj[v].bit_count()), v))
+def _greedy_clique(adj: Sequence[int], comp: int) -> list[int]:
+    """A maximal clique in the mask `comp`, taken greedily by degree."""
     clique: list[int] = []
-    cand = 0
-    for v in vertices:
-        cand |= 1 << v
-    for v in order:
-        if (cand >> v) & 1:
+    for v in sorted(PointSet(comp).indices, key=lambda v: (-(adj[v].bit_count()), v)):
+        if (comp >> v) & 1:
             clique.append(v)
-            cand &= adj[v]
+            comp &= adj[v]
     return clique
 
 
-def _k_colorable(adj: Sequence[int], vertices: list[int], k: int, clique: list[int]) -> bool:
-    """Exact k-colorability by DSATUR-style DFS.
+def _k_colorable(adj: Sequence[int], uncolored: int, forbidden: list[int], used: int, k: int) -> bool:
+    """Whether the vertices in the mask `uncolored` take colors below k.
 
-    Seeds a clique (of at most k vertices) with distinct colors, branches
-    on the uncolored vertex with the fewest available colors, and never
-    tries more than one fresh color (fresh colors are interchangeable).
+    `forbidden[v]` masks the colors of v's colored neighbors, and colors
+    0..used-1 are in use.  Branches DSATUR-style on the uncolored vertex
+    with the fewest free colors, lowest index on ties, and tries only one
+    fresh color, `used` (fresh colors are interchangeable).
     """
-    color: dict[int, int] = {}
-    forbidden: dict[int, int] = {v: 0 for v in vertices}
+    if not uncolored:
+        return True
     k_mask = (1 << k) - 1
-
-    def assign(v: int, c: int) -> list[int]:
-        color[v] = c
-        touched = []
-        m = adj[v]
-        bit = 1 << c
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            if u in forbidden and u not in color and not forbidden[u] & bit:
-                forbidden[u] |= bit
-                touched.append(u)
-            m ^= low
-        return touched
-
-    def undo(v: int, c: int, touched: list[int]) -> None:
-        del color[v]
-        bit = 1 << c
-        for u in touched:
-            forbidden[u] ^= bit
-
-    for i, v in enumerate(clique):
-        assign(v, i)
-
-    def dfs(max_used: int) -> bool:
-        if len(color) == len(vertices):
-            return True
-        best_v = -1
-        best_free = -1
-        for u in vertices:
-            if u in color:
-                continue
-            free = k_mask & ~forbidden[u]
-            cnt = free.bit_count()
+    best_v = -1
+    best_free = k + 1
+    m = uncolored
+    while m:
+        low = m & -m
+        m ^= low
+        v = low.bit_length() - 1
+        cnt = (k_mask & ~forbidden[v]).bit_count()
+        if cnt < best_free:
             if cnt == 0:
                 return False
-            if best_v < 0 or cnt < best_free:
-                best_v, best_free = u, cnt
-                if cnt == 1:
-                    break
-        free = k_mask & ~forbidden[best_v]
-        tried_fresh = False
-        m = free
-        while m:
-            low = m & -m
-            c = low.bit_length() - 1
-            m ^= low
-            if c >= max_used:
-                if tried_fresh:
-                    break
-                tried_fresh = True
-            touched = assign(best_v, c)
-            if dfs(max(max_used, c + 1)):
-                return True
-            undo(best_v, c, touched)
-        return False
-
-    ok = dfs(len(clique))
-    del dfs  # breaks the closure's reference to itself
-    return ok
+            best_v, best_free = v, cnt
+            if cnt == 1:
+                break
+    rest = uncolored & ~(1 << best_v)
+    neighbors = PointSet(adj[best_v] & rest).indices
+    m = k_mask & ~forbidden[best_v] & ((2 << used) - 1)
+    while m:
+        low = m & -m
+        m ^= low
+        c = low.bit_length() - 1
+        nxt = list(forbidden)
+        for u in neighbors:
+            nxt[u] |= low
+        if _k_colorable(adj, rest, nxt, max(used, c + 1), k):
+            return True
+    return False
 
 
 def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
     """Chromatic number, exactly.
 
     Computed per connected component as the max over components: each
-    component is tried at k = max(best so far, greedy clique size) and k
-    rises until `_k_colorable` succeeds.  Raises
-    `TooLarge` when the graph has more vertices than the cap (default:
-    the package-wide size cap).
+    component is tried at k = max(best so far, greedy clique size), with
+    the clique colored 0, 1, ..., and k rises until `_k_colorable`
+    succeeds.  Raises `TooLarge` when the graph has more vertices than the
+    cap (default: the package-wide size cap).
     """
     limit = size_cap() if cap is None else cap
     if graph.vertex_count > limit:
         raise TooLarge(f"graph has {graph.vertex_count} vertices, exact cap is {limit}")
     if graph.vertex_count == 0:
         return 0
+    adj = graph.adjacency
+    # Components share no vertex, so their cliques seed one list.
+    forbidden = [0] * graph.vertex_count
     best = 1
-    for comp in _components(graph.adjacency, graph.vertex_count):
-        vertices = PointSet(comp).indices
-        vs = list(vertices)
-        if len(vs) == 1:
-            continue
-        clique = _greedy_clique(graph.adjacency, vs)
+    for uncolored in _components(adj, graph.vertex_count):
+        if not uncolored & (uncolored - 1):
+            continue  # a lone vertex takes color 0
+        clique = _greedy_clique(adj, uncolored)
+        for i, v in enumerate(clique):
+            uncolored ^= 1 << v
+            for u in PointSet(adj[v]).indices:
+                forbidden[u] |= 1 << i
         k = max(best, len(clique))
-        while not _k_colorable(graph.adjacency, vs, k, clique):
+        while not _k_colorable(adj, uncolored, forbidden, len(clique), k):
             k += 1
         best = k
     return best

@@ -381,7 +381,7 @@ def halfspaces(space: ConvexitySpace) -> ConvexFamily:
     sets included."""
     full = space.full.mask
     present = {s.mask for s in space.sets}
-    return ConvexFamily(tuple(s for s in space.sets if (full ^ s.mask) in present))
+    return ConvexFamily.from_canonical(tuple(s for s in space.sets if (full ^ s.mask) in present))
 
 
 def is_separable(space: ConvexitySpace) -> SeparationCheck:
@@ -439,7 +439,7 @@ def masked_sum(tables: list[list[int]], mask: int) -> int:
 
 # --- file formats -------------------------------------------------------------
 
-_WEIGHT_RE = re.compile(r"^(\d+)/([1-9]\d*)$")
+_FRACTION_RE = re.compile(r"^(\d+)/([1-9]\d*)$")
 
 
 def format_space_file(name: str, space: ConvexitySpace) -> str:
@@ -499,7 +499,7 @@ def parse_distribution_file(text: str) -> Distribution:
         raise ValueError("distribution file needs a 'weights' array")
     weights = []
     for w in doc["weights"]:
-        if not isinstance(w, str) or not (m := _WEIGHT_RE.match(w)):
+        if not isinstance(w, str) or not (m := _FRACTION_RE.match(w)):
             raise ValueError(f"weight {w!r} is not of the form 'p/q'")
         weights.append(Fraction(int(m.group(1)), int(m.group(2))))
     return Distribution(tuple(weights))

@@ -84,18 +84,27 @@ def test_chromatic_number_handles_components():
     assert exact_chromatic_number(Graph.from_edges(14, first)) == 4
 
 
-def test_chromatic_number_matches_naive():
-    rng = random.Random(313)
-    for _ in range(80):
-        n = rng.randint(1, 8)
-        adj = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < 0.45:
-                    adj[u] |= 1 << v
-                    adj[v] |= 1 << u
-        g = Graph(n, tuple(adj))
-        assert exact_chromatic_number(g) == naive_chromatic(tuple(adj))
+@st.composite
+def block_graphs(draw):
+    """A disjoint union of 1 to 3 random blocks, 0 to 12 vertices in all,
+    each at its own edge density, with the vertex labels shuffled so the
+    components interleave."""
+    n = draw(st.integers(0, 12))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        density = draw(st.floats(0, 1))
+        for a, b in combinations(range(lo, hi), 2):
+            if draw(st.floats(0, 1)) < density:
+                edges.append((label[a], label[b]))
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_graphs())
+def test_chromatic_number_matches_naive(g):
+    assert exact_chromatic_number(g) == naive_chromatic(g.adjacency)
 
 
 def test_chromatic_cap():

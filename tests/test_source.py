@@ -75,3 +75,22 @@ def test_generators_build_through_the_closure():
                 if callee in ("ConvexitySpace", "ConvexFamily.from_masks"):
                     found.append(f"{func.name}:{node.lineno}: {callee}")
     assert found == []
+
+
+def test_library_has_no_recursive_closures():
+    """A nested function that calls itself holds a reference cycle through
+    its closure, which lives until the cycle collector runs; searches are
+    module-level functions that take their state as arguments."""
+    found = set()
+    for path in SOURCES:
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, ast.FunctionDef):
+                    continue
+                calls = {ast.unparse(n.func) for n in ast.walk(inner) if isinstance(n, ast.Call)}
+                if inner.name in calls:
+                    found.add(f"{path.name}:{inner.lineno} {outer.name}.{inner.name}")
+    assert SOURCES
+    assert found == set()
