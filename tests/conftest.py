@@ -275,6 +275,10 @@ def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tup
 
 
 def naive_chromatic(adjacency: tuple[int, ...]) -> int:
+    """Least k with a proper k-coloring, tried vertex by vertex in index
+    order.  Vertex v takes at most one color no earlier vertex has:
+    renaming colors maps every coloring to one that obeys this, and
+    without the rule a clique on n vertices costs (n - 1)! nodes."""
     n = len(adjacency)
     if n == 0:
         return 0
@@ -286,7 +290,7 @@ def naive_chromatic(adjacency: tuple[int, ...]) -> int:
             if v == n:
                 return True
             used = {colors[u] for u in range(v) if (adjacency[v] >> u) & 1}
-            for c in range(k):
+            for c in range(min(k, max(colors[:v], default=-1) + 2)):
                 if c not in used:
                     colors[v] = c
                     if go(v + 1):
