@@ -4,6 +4,11 @@ Subcommands: `gen` (write example spaces), `analyze` (invariants),
 `net` (build, verify, and compare weak nets), `lowerbound` (certificates),
 `kneser` (Kneser graph facts and checks).
 
+Each subcommand only computes: it returns `(inputs, result)`, or None
+when it has written its own output (`gen` without `-o`).  `main` alone
+times the call, wraps it as `{command, inputs, result, elapsed_seconds}`,
+prints the report and sets the exit code.
+
 Reports are JSON with stable key order; `--human` prints flat key:value
 lines instead.  Epsilon is always an exact fraction string "p/q".
 
@@ -102,18 +107,6 @@ def _emit(report: dict, human: bool) -> None:
         print(json.dumps(report, indent=2, allow_nan=False))
 
 
-def _report(command: str, inputs: dict, result: dict, started: float, human: bool) -> None:
-    _emit(
-        {
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "elapsed_seconds": round(time.perf_counter() - started, 6),
-        },
-        human,
-    )
-
-
 def _labels(space: ConvexitySpace, points) -> list[str]:
     return list(space.ground.labels_of(points))
 
@@ -147,8 +140,7 @@ def _relations_arg(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(rels)
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_gen(args: argparse.Namespace) -> Optional[tuple[dict, dict]]:
     kind = GENERATORS[args.kind]
     params = {k: getattr(args, k) for k in kind.params}
     name = args.name or kind.default_name(**params)
@@ -156,24 +148,13 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     text = format_space_file(name, space)
     if args.output is None:
         sys.stdout.write(text)
-        return 0
+        return None
     Path(args.output).write_text(text)
-    _report(
-        "gen",
-        {"output": _digest(Path(args.output), text)},
-        {
-            "name": name,
-            "points": space.ground.size,
-            "convex_sets": len(space.convex),
-        },
-        started,
-        args.human,
-    )
-    return 0
+    result = {"name": name, "points": space.ground.size, "convex_sets": len(space.convex)}
+    return {"output": _digest(Path(args.output), text)}, result
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_analyze(args: argparse.Namespace) -> tuple[dict, dict]:
     space_input, name, space = _read_space(args.space)
     report = analyze(space)
     result = {
@@ -186,12 +167,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "helly_witness": [_labels(space, s) for s in report.helly_witness],
         "vc_witness": _labels(space, report.vc_witness),
     }
-    _report("analyze", {"space": space_input}, result, started, args.human)
-    return 0
+    return {"space": space_input}, result
 
 
-def _cmd_net(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_net(args: argparse.Namespace) -> tuple[dict, dict]:
     space_input, name, space = _read_space(args.space)
     dist_input, mu = _read_dist(args.dist, space)
     net = build_weak_net(space, halfspaces(space), mu, args.eps)
@@ -214,12 +193,10 @@ def _cmd_net(args: argparse.Namespace) -> int:
         result["oracle_optimum"] = optimum
         result["oracle_witness"] = _labels(space, witness)
         result["ratio"] = len(net.points) / optimum if optimum else None
-    _report("net", {"space": space_input, "dist": dist_input}, result, started, args.human)
-    return 0
+    return {"space": space_input, "dist": dist_input}, result
 
 
-def _cmd_lowerbound(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_lowerbound(args: argparse.Namespace) -> tuple[dict, dict]:
     space_input, name, space = _read_space(args.space)
     inputs = {"space": space_input}
     mu = None
@@ -253,12 +230,10 @@ def _cmd_lowerbound(args: argparse.Namespace) -> int:
             "vertices": len(cert.graph.sets),
             "edges": len(cert.graph.graph.edges()),
         }
-    _report("lowerbound", inputs, result, started, args.human)
-    return 0
+    return inputs, result
 
 
-def _cmd_kneser(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_kneser(args: argparse.Namespace) -> tuple[dict, dict]:
     n = args.n
     k = args.k if args.k is not None else (n // 4 if args.alon else None)
     if k is None:
@@ -286,8 +261,7 @@ def _cmd_kneser(args: argparse.Namespace) -> int:
             "threshold": f"{n}/10",
             "holds": 10 * result["exact_chromatic"] > n,
         }
-    _report("kneser", {}, result, started, args.human)
-    return 0
+    return {}, result
 
 
 @functools.cache
@@ -351,13 +325,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"gen {args.kind} requires {', '.join(missing)}", file=sys.stderr)
             return 2
     try:
-        return args.func(args)
+        started = time.perf_counter()
+        outcome = args.func(args)
+        if outcome is not None:
+            inputs, result = outcome
+            report = {
+                "command": args.command,
+                "inputs": inputs,
+                "result": result,
+                "elapsed_seconds": round(time.perf_counter() - started, 6),
+            }
+            _emit(report, args.human)
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def run() -> None:

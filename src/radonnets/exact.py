@@ -25,7 +25,6 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
-    canonical_sets,
     size_cap,
 )
 
@@ -214,11 +213,13 @@ def _minimal_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) 
 
     Scanned by popcount, so every kept set is minimal.
     """
-    kept: list[int] = []
-    for m in sorted((s.mask for s in dense_sets(space, mu, eps)), key=int.bit_count):
+    dense = dense_sets(space, mu, eps)
+    kept: set[int] = set()
+    for m in sorted((s.mask for s in dense), key=int.bit_count):
         if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    return canonical_sets(PointSet(m) for m in kept)
+            kept.add(m)
+    # `dense` is canonical, so its subsequence of minimal sets is too.
+    return tuple(s for s in dense if s.mask in kept)
 
 
 def hitting_instance(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> HittingSetInstance:

@@ -43,6 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .exact import dense_sets
+from .invariants import helly_number, vc_dimension
 from .space import (
     ConsistencyError,
     ConvexFamily,
@@ -244,8 +245,6 @@ def build_weak_net(
     (120 h^2 / eps)^(4 h v ln(1/eps)), and its recursion trace, built
     on first access.
     """
-    from .invariants import helly_number, vc_dimension
-
     # Also checks eps and the size of mu; the finished net is checked against these.
     dense = dense_sets(space, mu, eps)
     full = space.full.mask

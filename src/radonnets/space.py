@@ -169,12 +169,6 @@ class GroundSet:
         return tuple(self.labels[i] for i in points.indices)
 
 
-def canonical_sets(sets: Iterable[PointSet]) -> tuple[PointSet, ...]:
-    """Duplicate-free tuple in canonical order (lex by ascending indices)."""
-    dedup = {s.mask: s for s in sets}
-    return tuple(sorted(dedup.values(), key=lambda s: s.sort_key))
-
-
 @dataclass(frozen=True, slots=True)
 class ConvexFamily:
     """Canonically ordered, duplicate-free collection of point sets.
@@ -188,7 +182,9 @@ class ConvexFamily:
     sets: tuple[PointSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sets", canonical_sets(self.sets))
+        # Duplicate-free, in canonical order (lex by ascending indices).
+        dedup = {s.mask: s for s in self.sets}
+        object.__setattr__(self, "sets", tuple(sorted(dedup.values(), key=lambda s: s.sort_key)))
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "ConvexFamily":
@@ -278,7 +274,7 @@ class Distribution:
         return len(self.weights)
 
     def support(self) -> PointSet:
-        return PointSet.from_indices(i for i, w in enumerate(self.weights) if w > 0)
+        return PointSet.from_indices(i for i, n in enumerate(self.nums) if n > 0)
 
     def mass(self, mask: int) -> int:
         """Measure of the points in `mask` (within the ground set), times `den`."""

@@ -404,6 +404,29 @@ def test_repeated_main_calls_match_fresh_parser(path3_file, tmp_path, capsys):
     assert run_all(fresh=False) == fresh
 
 
+def test_every_report_has_the_same_envelope(path3_file, tmp_path, capsys):
+    """Every subcommand that reports is wrapped in one envelope, with the
+    same key order in JSON and under `--human`."""
+    dist = write_uniform(tmp_path, 3)
+    calls = [
+        ["gen", "power", "--m", "2", "-o", str(tmp_path / "p2.json")],
+        ["analyze", path3_file],
+        ["net", path3_file, dist, "--eps", "1/3", "--verify", "--oracle"],
+        ["lowerbound", path3_file, dist, "--eps", "1/3", "--method", "chromatic"],
+        ["lowerbound", path3_file, "--eps", "1/3", "--method", "radon"],
+        ["kneser", "--n", "5", "--k", "2", "--exact"],
+    ]
+    for argv in calls:
+        report = run_json(capsys, *argv)
+        assert list(report) == ["command", "inputs", "result", "elapsed_seconds"]
+        assert report["command"] == argv[0]
+        code, out, err = run_cli(capsys, "--human", *argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == f"command: {argv[0]}"
+        assert lines[-1].startswith("elapsed_seconds: ")
+
+
 # --- fuzzed inputs ----------------------------------------------------------------
 
 

@@ -94,3 +94,19 @@ def test_library_has_no_recursive_closures():
                     found.add(f"{path.name}:{inner.lineno} {outer.name}.{inner.name}")
     assert SOURCES
     assert found == set()
+
+
+def test_cli_reports_from_main_only():
+    """`main` alone times a subcommand, wraps its result in the report
+    envelope and prints it; subcommands only compute."""
+    path = Path(radonnets.__file__).parent / "cli.py"
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), str(path))):
+        if not isinstance(func, ast.FunctionDef) or func.name == "main":
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_emit":
+                found.append(f"{func.name}:{node.lineno}: _emit")
+            elif isinstance(node, ast.Attribute) and ast.unparse(node) == "time.perf_counter":
+                found.append(f"{func.name}:{node.lineno}: time.perf_counter")
+    assert found == []
