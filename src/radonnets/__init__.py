@@ -7,12 +7,12 @@ from .space import (
     ConvexitySpace,
     Distribution,
     GroundSet,
-    GroundTooLarge,
     MissingEmptySet,
     MissingFullSet,
     NotIntersectionClosed,
     PointSet,
     SpaceAxiomError,
+    TooLarge,
     format_distribution_file,
     format_space_file,
     halfspaces,
@@ -34,7 +34,6 @@ from .invariants import (
 from .exact import (
     Graph,
     HittingSetInstance,
-    TooLarge,
     dense_sets,
     exact_chromatic_number,
     hitting_instance,
@@ -57,7 +56,6 @@ from .bounds import (
     KneserGraph,
     LowerBoundCertificate,
     NotIntersecting,
-    TooLargeForExact,
     chromatic_lower_bound,
     kleitman_union_bound,
     kneser_chromatic_number,

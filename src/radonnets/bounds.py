@@ -29,20 +29,18 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
-from .exact import Graph, TooLarge, _minimal_dense_sets, exact_chromatic_number
+from .exact import Graph, _minimal_dense_sets, exact_chromatic_number
 from .invariants import radon_number
 from .space import (
     ConsistencyError,
     ConvexitySpace,
     Distribution,
     PointSet,
+    TooLarge,
     _HullCache,
+    check_eps,
     size_cap,
 )
-
-
-class TooLargeForExact(TooLarge):
-    """Certificate requires an exact computation above the size cap."""
 
 
 class NotIntersecting(ValueError):
@@ -99,11 +97,11 @@ def chromatic_lower_bound(
     the package size cap, applies to the reduced vertex count.  A measure
     with no eps-dense set yields the trivial bound 0.
     """
-    eps = Fraction(eps)
+    eps = check_eps(eps)
     sets = _minimal_dense_sets(space, mu, eps)
     limit = size_cap() if cap is None else cap
     if len(sets) > limit:
-        raise TooLargeForExact(f"{len(sets)} minimal dense sets, exact cap is {limit}")
+        raise TooLarge(f"{len(sets)} minimal dense sets, exact cap is {limit}")
     graph = _disjointness(sets)
     chi = exact_chromatic_number(graph, cap=limit)
     return LowerBoundCertificate(
@@ -123,9 +121,7 @@ def radon_lower_bound(space: ConvexitySpace, eps: Fraction) -> LowerBoundCertifi
     Reports `kneser_chromatic_number(r, k)`: the Lovasz closed form
     r - 2k + 2 when r >= 2k, otherwise 1, since KG_{r,k} has no edges.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
+    eps = check_eps(eps)
     _, witness = radon_number(space)
     r = len(witness)
     if r == 0:
@@ -148,7 +144,7 @@ class KneserGraph:
 
 
 def kneser_graph(n: int, k: int) -> KneserGraph:
-    """KG_{n,k}; raises `TooLargeForExact` above the package size cap."""
+    """KG_{n,k}; raises `TooLarge` above the package size cap."""
     if n < 1 or k < 1 or k > n:
         raise ValueError("Kneser graph needs 1 <= k <= n")
     limit = size_cap()
@@ -158,7 +154,7 @@ def kneser_graph(n: int, k: int) -> KneserGraph:
     for j in range(min(k, n - k)):
         count = count * (n - j) // (j + 1)
         if count > limit:
-            raise TooLargeForExact(f"Kneser graph has more vertices than the cap of {limit}")
+            raise TooLarge(f"Kneser graph has more vertices than the cap of {limit}")
     subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
     return KneserGraph(n, k, subsets, _disjointness(subsets))
 
@@ -220,9 +216,7 @@ def kneser_embedding(
     hulls of disjoint subsets are disjoint.  A violation means the set is
     not actually shattered and raises `ConsistencyError`.
     """
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
+    eps = check_eps(eps)
     r = len(shattered)
     if r == 0:
         raise ValueError("the shattered set is empty")

@@ -32,7 +32,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bounds import (
-    TooLargeForExact,
     chromatic_lower_bound,
     kneser_chromatic_number,
     kneser_graph,
@@ -47,6 +46,8 @@ from .space import (
     ConsistencyError,
     ConvexitySpace,
     Distribution,
+    TooLarge,
+    check_eps,
     format_space_file,
     halfspaces,
     parse_distribution_file,
@@ -58,10 +59,10 @@ def _eps_arg(text: str) -> Fraction:
     m = _FRACTION_RE.match(text)
     if not m:
         raise argparse.ArgumentTypeError(f"eps must be an exact fraction 'p/q', got {text!r}")
-    eps = Fraction(int(m.group(1)), int(m.group(2)))
-    if not 0 < eps <= 1:
-        raise argparse.ArgumentTypeError("eps must satisfy 0 < eps <= 1")
-    return eps
+    try:
+        return check_eps(Fraction(int(m.group(1)), int(m.group(2))))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _frac(x: Fraction) -> str:
@@ -213,7 +214,7 @@ def _cmd_lowerbound(args: argparse.Namespace) -> tuple[dict, dict]:
             raise ValueError("the chromatic method needs a distribution file")
         try:
             cert = chromatic_lower_bound(space, mu, args.eps)
-        except TooLargeForExact:
+        except TooLarge:
             if args.method != "auto":
                 raise
             cert = radon_lower_bound(space, args.eps)

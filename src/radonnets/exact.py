@@ -25,12 +25,10 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
+    TooLarge,
+    check_eps,
     size_cap,
 )
-
-
-class TooLarge(ValueError):
-    """Instance exceeds the exact-computation ceiling."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,9 +196,7 @@ class HittingSetInstance:
 
 def dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
     """Convex sets of measure at least eps, in canonical order."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
+    eps = check_eps(eps)
     if mu.size != space.ground.size:
         raise ValueError("distribution size does not match the ground set")
     # mass / den >= p / q, cross-multiplied.

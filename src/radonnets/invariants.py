@@ -112,7 +112,7 @@ def radon_number(space: ConvexitySpace) -> tuple[int, PointSet]:
     return best.bit_count() + 1, PointSet(best)
 
 
-def helly_number(family: ConvexFamily | Sequence[PointSet]) -> tuple[int, tuple[PointSet, ...]]:
+def helly_number(family: ConvexFamily) -> tuple[int, tuple[PointSet, ...]]:
     """Largest inclusion-minimal subfamily with empty total intersection.
 
     When the whole family already intersects (including the vacuous case
@@ -122,8 +122,6 @@ def helly_number(family: ConvexFamily | Sequence[PointSet]) -> tuple[int, tuple[
 
     The witness is the canonically least subfamily of maximum size.
     """
-    if not isinstance(family, ConvexFamily):
-        family = ConvexFamily(tuple(family))
     masks = family.masks()
     total = -1
     union = 0
@@ -170,10 +168,9 @@ def _largest_minimal(
     return best
 
 
-def vc_dimension(family: ConvexFamily | Sequence[PointSet], ground_size: int) -> tuple[int, PointSet]:
+def vc_dimension(family: ConvexFamily, ground_size: int) -> tuple[int, PointSet]:
     """Largest set whose every subset is a trace of the family."""
-    masks = [s.mask for s in (family.sets if isinstance(family, ConvexFamily) else family)]
-    best = _largest_downward_closed(ground_size, partial(_traces_all, masks))
+    best = _largest_downward_closed(ground_size, partial(_traces_all, family.masks()))
     return best.bit_count(), PointSet(best)
 
 

@@ -18,13 +18,12 @@ The amplification gives a recursion depth of N(eps) = min { n :
 eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
 so a node is fixed by its (support, level), and the build is a loop over
 the levels and their distinct supports.  Only delta depends on the level:
-supports' masses, lightest weights and piercing points, and the masses of
-the masked symmetric differences (a ^ b) & m that packings compare
-against delta, are computed once per build.  On a support m half-spaces
-with one trace b & m are at distance 0, so packings run over the distinct
-traces, one half-space each (the first in canonical order, so no sort),
-and take them all when each point of m has mu_m-weight above delta.  All
-comparisons are exact, in integers (`Distribution.mass` against delta p/q).
+supports' masses, lightest weights and piercing points are computed once
+per build.  On a support m half-spaces with one trace b & m are at
+distance 0, so packings run over the distinct traces, one half-space each
+(the first in canonical order, so no sort), and take them all when each
+point of m has mu_m-weight above delta.  All comparisons are exact, in
+integers (`Distribution.mass` against delta p/q).
 The recursion trace is built from a flat per-level record when read.
 
 The finished net is checked against every convex set of the space; a
@@ -50,6 +49,8 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
+    TooLarge,
+    check_eps,
 )
 
 
@@ -78,9 +79,7 @@ class NetParams:
 
 def amplification_depth(eps: Fraction, helly: int) -> int:
     """Levels until the running threshold clears 1 - 1/h."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ValueError("eps must satisfy 0 < eps <= 1")
+    eps = check_eps(eps)
     if helly < 1:
         raise ValueError("the Helly number is at least 1")
     h, a, b = helly, eps.numerator, eps.denominator
@@ -103,7 +102,7 @@ def amplification_depth(eps: Fraction, helly: int) -> int:
 
 
 def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
-    eps = Fraction(eps)
+    eps = check_eps(eps)
     if vc < 0:
         raise ValueError("the VC dimension is non-negative")
     depth = amplification_depth(eps, helly)
@@ -257,24 +256,21 @@ def build_weak_net(
 
     params = _net_params(eps, h, v)
     eps, depth = params.eps, params.depth
-    # Nothing else bounds depth times the digits of each level's eps yet: the frames left cap it.
-    frame, room = sys._getframe(), sys.getrecursionlimit() - 50
-    while frame is not None:
-        frame, room = frame.f_back, room - 1
+    # Nothing else bounds depth times the digits of each level's eps: the
+    # recursion limit less 50 caps it, whatever the caller's stack.
+    room = sys.getrecursionlimit() - 50
     if depth > room:
-        raise ValueError(
+        raise TooLarge(
             f"eps needs {depth} recursion levels; the recursion limit allows {max(room, 0)}"
         )
     # Only delta depends on the level, so the rest is computed once per build.
     # Per support m: its mass, lightest point weight and piercing point, and
     # its distinct traces t = b & m, each with the first half-space in
-    # canonical order that has it.  Per build: the raw mass of every masked
-    # symmetric difference t ^ t' = (b ^ b') & m.  Per level: the running
+    # canonical order that has it.  Per level: the running
     # threshold e = eps (1 + 1/(2h))^level, its delta as p/q in lowest terms,
     # Haussler's cap (4e^2/delta)^v in log space (float(delta) underflows),
     # and the frontier of the level's distinct supports.
     pierced: dict[int, tuple[int, int, int, tuple[tuple[int, PointSet], ...]]] = {}
-    masses: dict[int, int] = {}
     wsum, nums = mu.mass, mu.nums
     record, frontier = [], {mu.support().mask: None}
     points_mask = edges = max_packing = 0
@@ -324,10 +320,7 @@ def build_weak_net(
                 kept: list[tuple[int, PointSet]] = []
                 for t, s in traces:
                     for ta, _ in kept:
-                        diff = t ^ ta
-                        if diff not in masses:
-                            masses[diff] = wsum(diff)
-                        if q * masses[diff] <= pw:
+                        if q * wsum(t ^ ta) <= pw:
                             break
                     else:
                         kept.append((t, s))

@@ -36,6 +36,10 @@ def size_cap() -> int:
     return cap
 
 
+class TooLarge(ValueError):
+    """An input exceeds a size or enumeration ceiling of an exact search."""
+
+
 class SpaceAxiomError(ValueError):
     """A convexity-space axiom is violated."""
 
@@ -54,15 +58,19 @@ class NotIntersectionClosed(SpaceAxiomError):
         super().__init__(f"intersection of {a} and {b} is not in the family")
 
 
-class GroundTooLarge(ValueError):
-    pass
-
-
 def check_ground_size(count: int) -> None:
-    """Raise `GroundTooLarge` if a ground set of `count` points exceeds the cap."""
+    """Raise `TooLarge` if a ground set of `count` points exceeds the cap."""
     cap = size_cap()
     if count > cap:
-        raise GroundTooLarge(f"ground set has {count} points, cap is {cap}")
+        raise TooLarge(f"ground set has {count} points, cap is {cap}")
+
+
+def check_eps(eps: Fraction) -> Fraction:
+    """`eps` as a Fraction; a `ValueError` unless 0 < eps <= 1."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must satisfy 0 < eps <= 1")
+    return eps
 
 
 class ConsistencyError(RuntimeError):
@@ -328,7 +336,7 @@ def intersection_closure(ground: GroundSet, basis: Iterable[PointSet]) -> Convex
             raise SpaceAxiomError(f"basis set {b} is not a subset of the ground set")
         closed |= {c & bm for c in closed}
         if len(closed) > _CLOSURE_LIMIT:
-            raise GroundTooLarge("intersection closure exceeds the enumeration ceiling")
+            raise TooLarge("intersection closure exceeds the enumeration ceiling")
     closed.add(0)
     return ConvexitySpace(ground, ConvexFamily.from_masks(closed))
 

@@ -8,7 +8,7 @@ from radonnets import (
     Distribution,
     NotIntersecting,
     PointSet,
-    TooLargeForExact,
+    TooLarge,
     chromatic_lower_bound,
     cylinder_space,
     exact_chromatic_number,
@@ -81,7 +81,7 @@ def test_chromatic_bound_is_sound():
 
 def test_chromatic_certificate_cap():
     sp = cylinder_space(2)
-    with pytest.raises(TooLargeForExact):
+    with pytest.raises(TooLarge):
         chromatic_lower_bound(sp, Distribution.uniform(4), Fraction(1, 4), cap=3)
 
 
@@ -139,17 +139,17 @@ def test_kneser_chromatic_formula_small():
 
 
 def test_kneser_graph_cap(monkeypatch):
-    with pytest.raises(TooLargeForExact):
+    with pytest.raises(TooLarge):
         kneser_graph(10, 3)
     monkeypatch.setenv("RADON_NETS_CAP", "120")
     kg = kneser_graph(10, 3)
     assert len(kg.subsets) == 120
     # The cap check counts C(n, k) only until it passes the cap, so a
     # binomial with hundreds of thousands of digits is refused at once.
-    with pytest.raises(TooLargeForExact, match="more vertices than the cap of 120"):
+    with pytest.raises(TooLarge, match="more vertices than the cap of 120"):
         kneser_graph(10**6, 5 * 10**5)
     monkeypatch.setenv("RADON_NETS_CAP", "119")
-    with pytest.raises(TooLargeForExact):
+    with pytest.raises(TooLarge):
         kneser_graph(10, 7)
 
 

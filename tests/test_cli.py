@@ -296,6 +296,32 @@ def test_lowerbound_chromatic_needs_dist(tmp_path, capsys):
     assert "distribution" in err
 
 
+def test_lowerbound_auto_falls_back_to_radon_over_the_cap(monkeypatch, tmp_path, capsys):
+    """Over the size cap, `--method auto` reports the Radon certificate
+    instead of the exact chromatic one; `--method chromatic` refuses."""
+    monkeypatch.setenv("RADON_NETS_CAP", "4")
+    space = tmp_path / "p4.json"
+    run_json(capsys, "gen", "power", "--m", "4", "-o", str(space))
+    dist = write_uniform(tmp_path, 4)
+    result = run_json(capsys, "lowerbound", str(space), dist, "--eps", "1/2")["result"]
+    assert result["fallback"] == "radon"
+    assert result["bound"] == 2
+    assert result["method"] == "lovasz-closed-form"
+    code, out, err = run_cli(capsys, "lowerbound", str(space), dist, "--eps", "1/2", "--method", "chromatic")
+    assert code == 2
+    assert out == ""
+    assert "6 minimal dense sets, exact cap is 4" in err
+
+
+@pytest.mark.parametrize("eps", ["0/1", "3/2"])
+def test_eps_outside_the_unit_interval_is_a_usage_error(eps, path3_file, tmp_path, capsys):
+    dist = write_uniform(tmp_path, 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["net", path3_file, dist, "--eps", eps])
+    assert exc.value.code == 2
+    assert "eps must satisfy 0 < eps <= 1" in capsys.readouterr().err
+
+
 # --- kneser ---------------------------------------------------------------------
 
 

@@ -4,8 +4,8 @@ import pytest
 
 from radonnets import (
     GeneratorSpec,
-    GroundTooLarge,
     PointSet,
+    TooLarge,
     cylinder_space,
     is_separable,
     lattice_convex_space,
@@ -157,7 +157,7 @@ def test_poset_space_validation():
         linear_extension_space(())
     with pytest.raises(ValueError):
         linear_extension_space(("a", "b"), [("a", "b"), ("b", "a")])
-    with pytest.raises(GroundTooLarge, match="ground set has 120 points, cap is 64"):
+    with pytest.raises(TooLarge, match="ground set has 120 points, cap is 64"):
         linear_extension_space(("a", "b", "c", "d", "e"))
 
 
@@ -256,7 +256,7 @@ def test_random_separable_is_deterministic():
 def test_random_separable_checks_the_cap_before_labelling():
     """A point count over the cap is refused before one label per point
     is built, so a huge count costs no memory."""
-    with pytest.raises(GroundTooLarge, match="ground set has 1000000000000 points, cap is 64"):
+    with pytest.raises(TooLarge, match="ground set has 1000000000000 points, cap is 64"):
         random_separable(10**12, 1)
 
 

@@ -420,6 +420,20 @@ def test_deep_trace_is_read_and_compared_without_recursion():
     assert one == two
 
 
+def _called_under(frames, build):
+    return build() if frames == 0 else _called_under(frames - 1, build)
+
+
+def test_depth_ceiling_ignores_the_callers_stack():
+    """The depth ceiling is the recursion limit less 50, so a build that
+    fits returns the same net however deep its caller's stack is."""
+    path = subtree_space([("a", "b"), ("b", "c")])
+    b, mu, eps = halfspaces(path), Distribution.uniform(3), Fraction(1, 10**88)
+    top = build_weak_net(path, b, mu, eps)
+    assert top.params.depth == 905
+    assert _called_under(60, lambda: build_weak_net(path, b, mu, eps)) == top
+
+
 def test_trace_repr_leaves_out_the_children():
     """A node's repr shows only its own fields: printed as a tree, a trace
     DAG is exponential in its size, and a deep one overflowed the stack."""

@@ -96,6 +96,21 @@ def test_library_has_no_recursive_closures():
     assert found == set()
 
 
+def test_one_home_for_the_size_ceiling_and_the_eps_rule():
+    """One `TooLarge`, in `space.py`, for every size ceiling, and the eps
+    range check written out only there, in `check_eps`."""
+    ceilings, eps_rule = [], []
+    for path in SOURCES:
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.ClassDef) and node.name.endswith("TooLarge"):
+                ceilings.append(f"{path.name}:{node.name}")
+        if "0 < eps <= 1" in text:
+            eps_rule.append(path.name)
+    assert ceilings == ["space.py:TooLarge"]
+    assert eps_rule == ["space.py"]
+
+
 def test_cli_reports_from_main_only():
     """`main` alone times a subcommand, wraps its result in the report
     envelope and prints it; subcommands only compute."""

@@ -8,12 +8,12 @@ from radonnets import (
     ConvexitySpace,
     Distribution,
     GroundSet,
-    GroundTooLarge,
     MissingEmptySet,
     MissingFullSet,
     NotIntersectionClosed,
     PointSet,
     SpaceAxiomError,
+    TooLarge,
     format_distribution_file,
     format_space_file,
     halfspaces,
@@ -110,11 +110,11 @@ def test_ground_set_label_validation():
 
 def test_ground_set_cap(monkeypatch):
     assert size_cap() == 64
-    with pytest.raises(GroundTooLarge):
+    with pytest.raises(TooLarge):
         GroundSet(tuple(str(i) for i in range(65)))
     monkeypatch.setenv("RADON_NETS_CAP", "4")
     assert size_cap() == 4
-    with pytest.raises(GroundTooLarge):
+    with pytest.raises(TooLarge):
         GroundSet(("a", "b", "c", "d", "e"))
     monkeypatch.setenv("RADON_NETS_CAP", "0")
     with pytest.raises(ValueError):
