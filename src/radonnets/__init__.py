@@ -18,7 +18,6 @@ from .space import (
     halfspaces,
     intersection_closure,
     is_separable,
-    measure,
     parse_distribution_file,
     parse_space_file,
     size_cap,

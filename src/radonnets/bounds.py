@@ -217,6 +217,8 @@ def kneser_embedding(
     not actually shattered and raises `ConsistencyError`.
     """
     eps = check_eps(eps)
+    if shattered.mask & ~space.full.mask:
+        raise ValueError(f"{shattered} is not a subset of the ground set")
     r = len(shattered)
     if r == 0:
         raise ValueError("the shattered set is empty")

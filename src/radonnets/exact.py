@@ -26,6 +26,7 @@ from .space import (
     Distribution,
     PointSet,
     TooLarge,
+    check_depth,
     check_eps,
     size_cap,
 )
@@ -158,7 +159,8 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
     component is tried at k = max(best so far, greedy clique size), with
     the clique colored 0, 1, ..., and k rises until `_k_colorable`
     succeeds.  Raises `TooLarge` when the graph has more vertices than the
-    cap (default: the package-wide size cap).
+    cap (default: the package-wide size cap), or when a component leaves
+    more vertices to color than the recursion limit has room for.
     """
     limit = size_cap() if cap is None else cap
     if graph.vertex_count > limit:
@@ -177,6 +179,8 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
             uncolored ^= 1 << v
             for u in PointSet(adj[v]).indices:
                 forbidden[u] |= 1 << i
+        # The search colors one vertex per frame.
+        check_depth(uncolored.bit_count(), "the coloring search")
         k = max(best, len(clique))
         while not _k_colorable(adj, uncolored, forbidden, len(clique), k):
             k += 1
@@ -256,10 +260,10 @@ def _lex_least(remaining: list[int], chosen: int, start: int, size: int) -> Opti
     cap = -1
     for t in remaining:
         t &= allowed
-        if not t:
-            return None
         pool |= t
         # Later picks are higher, so t must be hit at or below its top point.
+        # This cap keeps every unhit target's top point above the last pick,
+        # so t is never empty here.
         cap &= (1 << t.bit_length()) - 1
     if _packing_bound(remaining, allowed) > size - chosen.bit_count():
         return None
@@ -280,10 +284,13 @@ def minimal_weak_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> 
     A weak net must contain a point of every convex set of measure >= eps.
     Returns the minimum size and the lexicographically least optimal net:
     the lex search runs at each size from the packing bound up, and the
-    first size it succeeds at is the optimum.
+    first size it succeeds at is the optimum.  Raises `TooLarge` at a size
+    the recursion limit has no room for.
     """
     targets = [t.mask for t in hitting_instance(space, mu, eps).targets]
     for size in range(_packing_bound(targets, -1), len(targets) + 1):
+        # The search picks one point per frame.
+        check_depth(size, "the minimum net search")
         witness = _lex_least(targets, 0, 0, size)
         if witness is not None:
             return size, PointSet(witness)

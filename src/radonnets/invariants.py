@@ -181,7 +181,7 @@ def _traces_all(masks: list[int], y: int) -> bool:
         seen.add(m & y)
         if len(seen) == need:
             return True
-    return need == 1 and len(seen) == 1
+    return False
 
 
 def analyze(space: ConvexitySpace) -> InvariantReport:

@@ -35,7 +35,6 @@ bad net.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,7 +48,7 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
-    TooLarge,
+    check_depth,
     check_eps,
 )
 
@@ -115,40 +114,20 @@ def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class NetNode:
     """One recursion node: its piercing point, threshold, support, and the
     packing elements it recursed into (empty for base-case leaves).  The
     repr leaves out the children: a trace is a DAG, and printing it as a
-    tree is exponential in it."""
+    tree is exponential in it.  Nodes compare by identity; to compare two
+    builds, compare their `WeakNet`s, which compare the level record the
+    trace is built from."""
 
     x0: int
     eps: Fraction
     support: PointSet
     packing: Optional[ConvexFamily]
     children: tuple[tuple[PointSet, "NetNode"], ...] = field(repr=False)
-
-    def __eq__(self, other: object) -> bool:
-        # Field by field, as a dataclass compares, but each pair of nodes only
-        # once: a trace is a memoized DAG, and a tree walk is exponential in it.
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        seen: set[tuple[int, int]] = set()
-        stack = [(self, other)]
-        while stack:
-            x, y = stack.pop()
-            if x is y or (id(x), id(y)) in seen:
-                continue
-            seen.add((id(x), id(y)))
-            if (x.x0, x.eps, x.support, x.packing) != (y.x0, y.eps, y.support, y.packing):
-                return False
-            if [a for a, _ in x.children] != [a for a, _ in y.children]:
-                return False
-            stack.extend((cx, cy) for (_, cx), (_, cy) in zip(x.children, y.children))
-        return True
-
-    def __hash__(self) -> int:
-        return hash((self.x0, self.eps, self.support, self.packing))
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,13 +235,8 @@ def build_weak_net(
 
     params = _net_params(eps, h, v)
     eps, depth = params.eps, params.depth
-    # Nothing else bounds depth times the digits of each level's eps: the
-    # recursion limit less 50 caps it, whatever the caller's stack.
-    room = sys.getrecursionlimit() - 50
-    if depth > room:
-        raise TooLarge(
-            f"eps needs {depth} recursion levels; the recursion limit allows {max(room, 0)}"
-        )
+    # Nothing else bounds depth times the digits of each level's eps.
+    check_depth(depth, "eps")
     # Only delta depends on the level, so the rest is computed once per build.
     # Per support m: its mass, lightest point weight and piercing point, and
     # its distinct traces t = b & m, each with the first half-space in

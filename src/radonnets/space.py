@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -63,6 +64,14 @@ def check_ground_size(count: int) -> None:
     cap = size_cap()
     if count > cap:
         raise TooLarge(f"ground set has {count} points, cap is {cap}")
+
+
+def check_depth(depth: int, what: str) -> None:
+    """Raise `TooLarge` if `what` needs more than the recursion limit less
+    50 levels: a recursive search `depth` deep would overflow the stack."""
+    room = sys.getrecursionlimit() - 50
+    if depth > room:
+        raise TooLarge(f"{what} needs {depth} recursion levels; the recursion limit allows {max(room, 0)}")
 
 
 def check_eps(eps: Fraction) -> Fraction:
@@ -174,6 +183,8 @@ class GroundSet:
         return PointSet((1 << self.size) - 1)
 
     def labels_of(self, points: PointSet) -> tuple[str, ...]:
+        if points.mask >> self.size:
+            raise ValueError(f"{points} is not a subset of the ground set")
         return tuple(self.labels[i] for i in points.indices)
 
 
@@ -405,12 +416,6 @@ def is_separable(space: ConvexitySpace) -> SeparationCheck:
         if missing:
             return SeparationCheck(False, (c, (missing & -missing).bit_length() - 1))
     return SeparationCheck(True, None)
-
-
-def measure(mu: Distribution, points: PointSet) -> Fraction:
-    if points.mask >> mu.size:
-        raise ValueError("point set exceeds the distribution's ground set")
-    return Fraction(mu.mass(points.mask), mu.den)
 
 
 # --- integer measure tables ---------------------------------------------------

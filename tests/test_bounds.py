@@ -136,6 +136,8 @@ def test_kneser_chromatic_formula_small():
             assert kneser_chromatic_number(n, k) == expected
     with pytest.raises(ValueError):
         kneser_chromatic_number(3, 4)
+    with pytest.raises(ValueError, match="1 <= k <= n"):
+        kneser_graph(3, 4)
 
 
 def test_kneser_graph_cap(monkeypatch):
@@ -233,3 +235,5 @@ def test_kneser_embedding_rejects_unshattered_sets():
         kneser_embedding(path, path.full, Fraction(2, 3))
     with pytest.raises(ValueError):
         kneser_embedding(path, PointSet(0), Fraction(1, 2))
+    with pytest.raises(ValueError, match="not a subset of the ground set"):
+        kneser_embedding(power_set_space(2), PointSet(0b1000), Fraction(1, 2))

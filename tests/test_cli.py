@@ -89,6 +89,7 @@ def test_gen_all_kinds(tmp_path, capsys):
         (["gen", "power", "--m", "3", "--name", "cube"], "cube"),
         (["gen", "subtree", "--edges", "a-b,b-c"], "subtree-3v"),
         (["gen", "poset", "--elements", "a,b"], "poset-2e"),
+        (["gen", "poset", "--elements", "a,b", "--relations", ""], "poset-2e"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -116,6 +117,13 @@ def test_gen_rejects_bad_edges(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "gen", "subtree", "--edges", "a-b-c")
     assert exc.value.code == 2
+
+
+def test_gen_rejects_bad_relations(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "gen", "poset", "--elements", "a,b", "--relations", "a-b")
+    assert exc.value.code == 2
+    assert "relation 'a-b' is not of the form a<b" in capsys.readouterr().err
 
 
 # --- analyze --------------------------------------------------------------------
@@ -161,10 +169,11 @@ def test_analyze_empty_ground_set_exits_2(tmp_path, capsys):
     input, as `lowerbound --method radon` does, not as a consistency failure."""
     space = tmp_path / "empty.json"
     space.write_text(json.dumps({"name": "e", "ground": [], "convex": [[]]}))
-    code, out, err = run_cli(capsys, "analyze", str(space))
-    assert code == 2
-    assert out == ""
-    assert "the ground set is empty" in err
+    for argv in (["analyze", str(space)], ["lowerbound", str(space), "--eps", "1/2", "--method", "radon"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "the ground set is empty" in err
 
 
 # --- net ------------------------------------------------------------------------
@@ -361,6 +370,16 @@ def test_kneser_graph_too_large_exits_2_at_once(capsys):
     assert code == 2
     assert out == ""
     assert "more vertices than the cap of 64" in err
+
+
+def test_kneser_exact_past_the_recursion_room_exits_2(monkeypatch, capsys):
+    """KG_{13,6} leaves 1,714 vertices to color after its clique, more
+    levels than the recursion limit has room for: refused, not overflowed."""
+    monkeypatch.setenv("RADON_NETS_CAP", "2000")
+    code, out, err = run_cli(capsys, "kneser", "--n", "13", "--k", "6", "--exact")
+    assert code == 2
+    assert out == ""
+    assert "the coloring search needs 1714 recursion levels" in err
 
 
 def test_kneser_argument_errors(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -18,14 +19,14 @@ from radonnets import (
     exact_chromatic_number,
     hitting_instance,
     intersection_closure,
-    measure,
     minimal_weak_net,
     power_set_space,
+    validate_space,
     verify_weak_net,
 )
 from radonnets.exact import _packing_bound
 
-from conftest import naive_chromatic, naive_min_net, seeded_distribution
+from conftest import fraction_measure, naive_chromatic, naive_min_net, seeded_distribution
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -51,6 +52,10 @@ def test_graph_construction():
         Graph(2, (0b10, 0b00))
     with pytest.raises(ValueError):
         Graph(1, (0b1,))
+    with pytest.raises(ValueError, match="table length"):
+        Graph(2, (0,))
+    with pytest.raises(ValueError, match="vertex range"):
+        Graph(2, (0b100, 0))
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
     with pytest.raises(ValueError):
@@ -114,6 +119,29 @@ def test_chromatic_cap():
     assert exact_chromatic_number(g, cap=70) == 1
 
 
+@pytest.fixture()
+def recursion_limit_200(monkeypatch):
+    """A recursion limit of 200, so 150 levels of room, and a size cap of 400."""
+    monkeypatch.setenv("RADON_NETS_CAP", "400")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield
+    sys.setrecursionlimit(limit)
+
+
+def test_coloring_refuses_past_the_recursion_room(recursion_limit_200):
+    """The search colors one vertex per frame, so a component with more
+    vertices left after its clique than the room raises `TooLarge` instead
+    of overflowing the stack."""
+
+    def path(n):
+        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+
+    with pytest.raises(TooLarge, match="coloring search needs 298 recursion levels; the recursion limit allows 150"):
+        exact_chromatic_number(path(300))
+    assert exact_chromatic_number(path(100)) == 2
+
+
 # --- dense sets and hitting instances ----------------------------------------------
 
 
@@ -124,7 +152,7 @@ def test_dense_sets_thresholds():
     half = dense_sets(sp, mu, Fraction(1, 2))
     assert len(half) == 5
     # The threshold is met with equality, not exceeded.
-    assert all(measure(mu, s) >= Fraction(1, 2) for s in half)
+    assert all(fraction_measure(mu, s) >= Fraction(1, 2) for s in half)
     assert len(dense_sets(sp, mu, Fraction(1))) == 1
     with pytest.raises(ValueError):
         dense_sets(sp, mu, Fraction(0))
@@ -161,7 +189,7 @@ def test_hitting_instance_minimal_targets():
         dense = dense_sets(sp, mu, eps)
         targets = list(inst.targets)
         for t in targets:
-            assert measure(mu, t) >= eps
+            assert fraction_measure(mu, t) >= eps
             assert not any(u.mask != t.mask and u.issubset(t) for u in targets)
         for d in dense:
             assert any(t.issubset(d) for t in targets)
@@ -203,6 +231,21 @@ def test_minimum_net_refutes_sizes_above_the_packing_bound():
     targets = [t.mask for t in hitting_instance(sp, mu, eps).targets]
     assert _packing_bound(targets, -1) == 2
     assert minimal_weak_net(sp, mu, eps) == (4, PointSet.from_indices([0, 1, 2, 3]))
+
+
+def test_minimum_net_refuses_past_the_recursion_room(recursion_limit_200):
+    """The search picks one point per frame, so a size above the room
+    raises `TooLarge` instead of overflowing the stack.  Every singleton
+    is a minimal dense set here, so the packing bound is the point count."""
+
+    def singletons(n):
+        ground = GroundSet(tuple(f"p{i}" for i in range(n)))
+        return validate_space(ground, [PointSet(0), ground.full] + [PointSet(1 << i) for i in range(n)])
+
+    with pytest.raises(TooLarge, match="minimum net search needs 300 recursion levels"):
+        minimal_weak_net(singletons(300), Distribution.uniform(300), Fraction(1, 300))
+    small = singletons(60)
+    assert minimal_weak_net(small, Distribution.uniform(60), Fraction(1, 60)) == (60, small.full)
 
 
 def test_minimum_net_matches_naive():

@@ -23,7 +23,6 @@ from radonnets import (
     halfspaces,
     intersection_closure,
     lattice_convex_space,
-    measure,
     minimal_weak_net,
     power_set_space,
     random_separable,
@@ -37,6 +36,7 @@ from radonnets.nets import NetNode, _net_params, size_bound_value
 from conftest import (
     ZeroMassCondition,
     conditional,
+    fraction_measure,
     greedy_packing,
     piercing_point,
     reference_amplification_depth,
@@ -156,9 +156,9 @@ def test_greedy_packing_properties():
         chosen = list(packing)
         for i, a in enumerate(chosen):
             for b in chosen[i + 1:]:
-                assert measure(mu, a ^ b) > delta
+                assert fraction_measure(mu, a ^ b) > delta
         for s in fam:
-            assert any(measure(mu, s ^ a) <= delta for a in chosen)
+            assert any(fraction_measure(mu, s ^ a) <= delta for a in chosen)
     with pytest.raises(ValueError):
         greedy_packing(fam, mu, Fraction(-1, 2))
 
@@ -206,7 +206,7 @@ def test_net_is_deterministic():
     a = build_weak_net(sp, halfspaces(sp), mu, Fraction(1, 3))
     b = build_weak_net(sp, halfspaces(sp), mu, Fraction(1, 3))
     assert a.points == b.points
-    assert a.trace == b.trace
+    assert a == b and same_trace(a.trace, b.trace)
 
 
 def test_net_pierces_every_dense_set():
@@ -219,7 +219,7 @@ def test_net_pierces_every_dense_set():
         eps = Fraction(1, rng.randint(1, 4))
         net = build_weak_net(sp, halfspaces(sp), mu, eps)
         for c in sp.sets:
-            if measure(mu, c) >= eps:
+            if fraction_measure(mu, c) >= eps:
                 assert not net.points.isdisjoint(c)
 
 
@@ -268,7 +268,6 @@ def test_same_trace_tells_shared_from_copied_nodes():
         return NetNode(0, Fraction(1, 4), PointSet(3), ConvexFamily((a,)), tuple((a, c) for c in children))
 
     shared, copied = root(leaf, leaf), root(leaf, twin)
-    assert shared == copied
     assert same_trace(shared, root(leaf, leaf))
     assert not same_trace(shared, copied)
     assert not same_trace(copied, shared)
@@ -288,16 +287,16 @@ def dag_nodes(trace: NetNode) -> list[NetNode]:
 
 
 def test_trace_equality_compares_each_node_pair_once():
-    """Two separately built nets compare equal without walking the DAG as a
-    tree (about 2 s for this pair); moving one leaf's point breaks it."""
+    """Two separately built nets compare equal, and `same_trace` matches
+    their traces without walking the DAG as a tree (about 2 s for this
+    pair); moving one leaf's point breaks both."""
     sp = lattice_convex_space(2, 3)
     b = halfspaces(sp)
     mu = Distribution.uniform(sp.ground.size)
     one = build_weak_net(sp, b, mu, Fraction(1, 4))
     two = build_weak_net(sp, b, mu, Fraction(1, 4))
     assert one.trace is not two.trace and one.memo_hits > 1000
-    assert one == two and one.trace == two.trace
-    assert hash(one.trace) == hash(two.trace)
+    assert one == two and same_trace(one.trace, two.trace)
 
     leaf = next(node for node in dag_nodes(two.trace) if not node.children)
     copies: dict[int, NetNode] = {}
@@ -311,13 +310,13 @@ def test_trace_equality_compares_each_node_pair_once():
         return got
 
     changed = copy(two.trace)
-    assert changed != one.trace and one.trace != changed
+    assert not same_trace(changed, one.trace) and not same_trace(one.trace, changed)
     # A net compares the level record its trace is built from; moving the
     # same leaf's point there gives a different net with the changed trace.
     last_eps, leaves = one._levels[-1]
     moved = tuple((m, x0 ^ 1 if m == leaf.support.mask else x0, None) for m, x0, _ in leaves)
     other = replace(one, _levels=one._levels[:-1] + ((last_eps, moved),))
-    assert other != one and other.trace == changed
+    assert other != one and same_trace(other.trace, changed)
 
 
 @st.composite
@@ -405,7 +404,7 @@ def test_trace_is_built_on_first_read(monkeypatch):
 
 def test_deep_trace_is_read_and_compared_without_recursion():
     """A net of more than 3,000 levels needs a raised recursion limit to
-    build, but reading, comparing and hashing its trace do not."""
+    build, but reading and comparing its trace do not."""
     path = subtree_space([("a", "b"), ("b", "c")])
     b, mu, eps = halfspaces(path), Distribution.uniform(3), Fraction(1, 10**400)
     limit = sys.getrecursionlimit()
@@ -416,8 +415,7 @@ def test_deep_trace_is_read_and_compared_without_recursion():
         sys.setrecursionlimit(limit)
     assert one.params.depth > 3000 and one.nodes > one.params.depth
     assert one.trace is not two.trace
-    assert one.trace == two.trace and hash(one.trace) == hash(two.trace)
-    assert one == two
+    assert same_trace(one.trace, two.trace) and one == two
 
 
 def _called_under(frames, build):
@@ -454,7 +452,7 @@ def test_supplied_invariants_must_match_computed():
     v = vc_dimension(b, 5)[0]
     auto = build_weak_net(sp, b, mu, Fraction(1, 3))
     manual = build_weak_net(sp, b, mu, Fraction(1, 3), helly=h, vc=v)
-    assert auto.points == manual.points and auto.trace == manual.trace
+    assert auto == manual and same_trace(auto.trace, manual.trace)
 
 
 def test_trace_structure():
@@ -474,7 +472,7 @@ def test_trace_structure():
         assert level < net.params.depth
         for a, child in node.children:
             assert a in node.packing
-            assert measure(mu, a & node.support) > 0
+            assert fraction_measure(mu, a & node.support) > 0
             assert child.support == a & node.support
             walk(child, level + 1)
 

@@ -98,8 +98,9 @@ def test_library_has_no_recursive_closures():
 
 def test_one_home_for_the_size_ceiling_and_the_eps_rule():
     """One `TooLarge`, in `space.py`, for every size ceiling, and the eps
-    range check written out only there, in `check_eps`."""
-    ceilings, eps_rule = [], []
+    range check and the recursion room written out only there, in
+    `check_eps` and `check_depth`."""
+    ceilings, eps_rule, room = [], [], []
     for path in SOURCES:
         text = path.read_text()
         for node in ast.walk(ast.parse(text, str(path))):
@@ -107,8 +108,11 @@ def test_one_home_for_the_size_ceiling_and_the_eps_rule():
                 ceilings.append(f"{path.name}:{node.name}")
         if "0 < eps <= 1" in text:
             eps_rule.append(path.name)
+        if "getrecursionlimit" in text:
+            room.append(path.name)
     assert ceilings == ["space.py:TooLarge"]
     assert eps_rule == ["space.py"]
+    assert room == ["space.py"]
 
 
 def test_cli_reports_from_main_only():

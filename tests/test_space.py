@@ -19,7 +19,6 @@ from radonnets import (
     halfspaces,
     intersection_closure,
     is_separable,
-    measure,
     parse_distribution_file,
     parse_space_file,
     power_set_space,
@@ -91,6 +90,8 @@ def test_ground_set():
     assert g.size == 3
     assert g.full.mask == 0b111
     assert g.labels_of(PointSet.from_indices([0, 2])) == ("x", "z")
+    with pytest.raises(ValueError, match="not a subset of the ground set"):
+        g.labels_of(PointSet(0b1000))
 
 
 def test_empty_ground_set_is_allowed():
@@ -175,6 +176,17 @@ def test_intersection_closure_contains_basis():
         intersection_closure(g, [PointSet(0b1000)])
 
 
+def test_intersection_closure_ceiling(monkeypatch):
+    """The complements of the four points close to all 16 subsets, one
+    more than a ceiling of 15 allows."""
+    g = GroundSet(tuple("abcd"))
+    basis = [PointSet(0b1111 ^ (1 << i)) for i in range(4)]
+    assert len(intersection_closure(g, basis).sets) == 16
+    monkeypatch.setattr("radonnets.space._CLOSURE_LIMIT", 15)
+    with pytest.raises(TooLarge, match="enumeration ceiling"):
+        intersection_closure(g, basis)
+
+
 # --- hulls ------------------------------------------------------------------------
 
 
@@ -224,7 +236,9 @@ def test_halfspaces_closed_under_complement():
 
 
 def test_separable_means_halfspace_intersections():
-    """The point-separation and intersection formulations agree."""
+    """The point-separation and intersection formulations agree, down to
+    the counterexample: the first convex set in canonical order whose
+    half-space intersection is larger, with its lowest extra point."""
     rng = random.Random(7777)
     for _ in range(80):
         sp = random_space(rng, rng.randint(1, 6))
@@ -238,8 +252,9 @@ def test_separable_means_halfspace_intersections():
                     acc &= m
             return acc
 
-        expected = all(from_halfspaces(c.mask) == c.mask for c in sp.sets)
-        assert is_separable(sp).separable is expected
+        extra = [(c, from_halfspaces(c.mask) & ~c.mask) for c in sp.sets]
+        expected = next(((c, (e & -e).bit_length() - 1) for c, e in extra if e), None)
+        assert is_separable(sp) == (expected is None, expected)
 
 
 def test_separation_counterexample():
@@ -275,7 +290,7 @@ def test_distribution_validation():
 
 def test_distribution_constructors():
     mu = Distribution.uniform(4)
-    assert measure(mu, PointSet(0b1111)) == 1
+    assert mu.mass(0b1111) == mu.den
     on = Distribution.uniform_on(4, PointSet.from_indices([1, 3]))
     assert on.weights == (0, Fraction(1, 2), 0, Fraction(1, 2))
     assert on.support().indices == (1, 3)
@@ -301,9 +316,8 @@ def test_measure_additivity():
     for _ in range(50):
         a = PointSet(rng.randrange(1 << 12))
         b = PointSet(rng.randrange(1 << 12))
-        assert measure(mu, a | b) + measure(mu, a & b) == fraction_measure(mu, a) + fraction_measure(mu, b)
-    with pytest.raises(ValueError):
-        measure(mu, PointSet(1 << 12))
+        union, meet = (Fraction(mu.mass(m.mask), mu.den) for m in (a | b, a & b))
+        assert union + meet == fraction_measure(mu, a) + fraction_measure(mu, b)
 
 
 def test_weight_tables_match_fractions():
@@ -363,6 +377,7 @@ def test_space_file_roundtrip():
         '{"name": "x", "ground": ["a", "b"], "convex": [[], [0, 0], [0, 1]]}',
         '{"name": "x", "ground": ["a"], "convex": [[], [true], [0]]}',
         '{"name": "x", "ground": ["a"], "convex": [[], [0], [0]]}',
+        '{"name": "x", "ground": ["a"]}',
     ],
 )
 def test_space_file_rejects_malformed(text):
