@@ -12,9 +12,14 @@ All three are computed exactly by constrained search:
 * VC: the largest set whose every subset is a trace of the family.
 
 Shattering and full traces are downward monotone, so one frontier
-search, growing sets by size, serves Radon and VC.  Reported witnesses
-are the lexicographically least of maximum size, so results are
-reproducible across runs.
+search, growing sets by size, serves Radon and VC.  A candidate is
+asked about only when every one-point-smaller subset was accepted; one
+pass over each level builds, per dropped set, the mask of points that
+extend it within the level, and a set's allowed extensions are the AND
+of those masks over its drops.  The two searches stay independent, so
+`analyze` checks VC against Radon rather than deriving it.  Reported
+witnesses are the lexicographically least of maximum size, so results
+are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -51,27 +56,37 @@ def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
     sets.  Extending only by points above the top index generates every
     candidate once, in lexicographic order.  A frontier holds every
     accepted set of its size, so a candidate with a one-point-smaller
-    subset outside it would be rejected, and `keep` is not asked."""
+    subset outside it would be rejected, and `keep` is not asked.
+
+    Those subsets are read off per-drop extension masks: `ext[d]` has
+    bit p when d | p is in the frontier, so y may grow by q exactly when
+    q is in `ext[y ^ p]` for every point p of y."""
+    full = (1 << n) - 1
     frontier = [0]
     best = 0
     while frontier:
-        accepted = set(frontier)
+        ext: dict[int, int] = {}
+        for x in frontier:
+            rest = x
+            while rest:
+                low = rest & -rest
+                d = x ^ low
+                ext[d] = ext.get(d, 0) | low
+                rest ^= low
         nxt = []
         for y in frontier:
-            drops = []
+            top = y.bit_length()
+            allowed = full >> top << top
             rest = y
             while rest:
                 low = rest & -rest
-                drops.append(y ^ low)
+                allowed &= ext[y ^ low]
                 rest ^= low
-            for i in range(y.bit_length(), n):
-                bit = 1 << i
-                for d in drops:
-                    if d | bit not in accepted:
-                        break
-                else:
-                    if keep(y | bit):
-                        nxt.append(y | bit)
+            while allowed:
+                bit = allowed & -allowed
+                if keep(y | bit):
+                    nxt.append(y | bit)
+                allowed ^= bit
         if nxt:
             best = nxt[0]
         frontier = nxt
@@ -82,7 +97,8 @@ def _shattered(hc: _HullCache, y: int) -> bool:
     """Every bipartition of `y` has hulls with empty intersection.
 
     The hull of the empty part is empty, so one-sided splits are fine and
-    the empty set and singletons are trivially shattered.
+    the empty set and singletons are trivially shattered.  The split
+    (y, ∅) is skipped, so the hull of `y` itself is never computed.
     """
     if y == 0 or y & (y - 1) == 0:
         return True
@@ -90,14 +106,19 @@ def _shattered(hc: _HullCache, y: int) -> bool:
     low = y & -y
     rest = y ^ low
     sub = rest
-    while True:
+    memo = hc.memo
+    while sub:
+        sub = (sub - 1) & rest
         a = low | sub
         b = y ^ a
-        if hc.hull(a) & hc.hull(b):
+        ha = memo.get(a)
+        if ha is None:
+            ha = hc.hull(a)
+        hb = memo.get(b)
+        if hb is None:
+            hb = hc.hull(b)
+        if ha & hb:
             return False
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
     return True
 
 
@@ -175,13 +196,7 @@ def vc_dimension(family: ConvexFamily, ground_size: int) -> tuple[int, PointSet]
 
 
 def _traces_all(masks: list[int], y: int) -> bool:
-    need = 1 << y.bit_count()
-    seen = set()
-    for m in masks:
-        seen.add(m & y)
-        if len(seen) == need:
-            return True
-    return False
+    return len({m & y for m in masks}) == 1 << y.bit_count()
 
 
 def analyze(space: ConvexitySpace) -> InvariantReport:

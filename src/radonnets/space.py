@@ -477,12 +477,13 @@ def parse_space_file(text: str) -> tuple[str, ConvexitySpace]:
     if not isinstance(raw, list):
         raise ValueError("space file needs a 'convex' array of index arrays")
     ground = GroundSet(tuple(labels))
+    size = ground.size
     sets = []
     seen = set()
     for arr in raw:
         if not isinstance(arr, list) or not all(isinstance(i, int) and not isinstance(i, bool) for i in arr):
             raise ValueError(f"convex entry {arr!r} is not an array of integers")
-        if any(i < 0 or i >= ground.size for i in arr):
+        if arr and (min(arr) < 0 or max(arr) >= size):
             raise ValueError(f"convex entry {arr!r} has an index outside the ground set")
         if list(arr) != sorted(set(arr)):
             raise ValueError(f"convex entry {arr!r} is not strictly ascending")

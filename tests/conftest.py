@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import and_
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import pytest
 
@@ -239,6 +239,37 @@ def naive_vc(family: ConvexFamily, ground_size: int) -> int:
                 y |= 1 << i
             if len({m & y for m in masks}) == 1 << size:
                 best = max(best, size)
+    return best
+
+
+def reference_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
+    """The frontier search for Radon and VC as it was before extension
+    masks: each candidate y | i tests every one-point-smaller subset
+    against the accepted sets before `keep` is asked.  The library must
+    ask `keep` the same candidates in the same order."""
+    frontier = [0]
+    best = 0
+    while frontier:
+        accepted = set(frontier)
+        nxt = []
+        for y in frontier:
+            drops = []
+            rest = y
+            while rest:
+                low = rest & -rest
+                drops.append(y ^ low)
+                rest ^= low
+            for i in range(y.bit_length(), n):
+                bit = 1 << i
+                for d in drops:
+                    if d | bit not in accepted:
+                        break
+                else:
+                    if keep(y | bit):
+                        nxt.append(y | bit)
+        if nxt:
+            best = nxt[0]
+        frontier = nxt
     return best
 
 

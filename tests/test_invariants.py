@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from radonnets import (
     halfspaces,
     helly_number,
     intersection_closure,
+    linear_extension_space,
     power_set_space,
     radon_number,
     random_separable,
@@ -21,7 +23,7 @@ from radonnets import (
     validate_space,
     vc_dimension,
 )
-from radonnets.invariants import _shattered
+from radonnets.invariants import _largest_downward_closed, _shattered, _traces_all
 from radonnets.space import _HullCache
 
 from conftest import (
@@ -30,6 +32,7 @@ from conftest import (
     naive_shattered,
     naive_vc,
     point_side_helly,
+    reference_downward_closed,
     reference_helly,
 )
 
@@ -108,6 +111,77 @@ def test_helly_requires_inclusion_minimality():
     size, witness = helly_number(fam)
     assert size == 2
     assert [s.indices for s in witness] == [(0, 1), (2, 3)]
+
+
+def test_analyze_two_chains_of_five():
+    """The 30 linear extensions of a<b, c<d beside a free e, the largest
+    poset the CLI benchmark analyzes; witnesses as recorded before the
+    frontier search read extension masks."""
+    rep = analyze(linear_extension_space(("a", "b", "c", "d", "e"), (("a", "b"), ("c", "d"))))
+    assert (rep.radon, rep.helly, rep.vc, rep.separable) == (5, 3, 4, True)
+    assert rep.radon_witness.indices == (0, 11, 18, 21)
+    assert rep.vc_witness.indices == (0, 11, 18, 21)
+    assert [s.indices for s in rep.helly_witness] == [
+        tuple(range(20)),
+        (1, 2, 4, 7, 8, 9, 10, 11, 13, 16, 17, 21, 22, 23, 24, 25, 26, 27, 28, 29),
+        (18, 19, 20, 23, 29),
+    ]
+
+
+def test_shattered_never_hulls_the_candidate():
+    """The split (y, ∅) is disjoint without a hull, so an accepted y leaves
+    exactly its proper subsets in the memo, and a rejected one none of
+    itself."""
+    space = linear_extension_space(("a", "b", "c", "d"))
+    witness = radon_number(space)[1].mask
+    hc = _HullCache(space)
+    assert _shattered(hc, witness)
+    assert set(hc.memo) == {sub for sub in range(1 << space.ground.size) if sub & ~witness == 0 and sub != witness}
+    for y in (0b11, 0b111, space.full.mask):
+        hc = _HullCache(space)
+        _shattered(hc, y)
+        assert y not in hc.memo
+
+
+def _asked(search, n, keep) -> tuple[int, list[int]]:
+    """The search's answer and every candidate it asked `keep` about."""
+    calls: list[int] = []
+
+    def ask(y: int) -> bool:
+        calls.append(y)
+        return keep(y)
+
+    return search(n, ask), calls
+
+
+@st.composite
+def down_sets(draw):
+    """Membership in the down-set of a few masks on up to 12 points."""
+    n = draw(st.integers(0, 12))
+    tops = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=5))
+    return n, tops
+
+
+@settings(max_examples=300, deadline=None)
+@given(down_sets())
+def test_downward_closed_search_asks_as_the_reference(case):
+    n, tops = case
+
+    def keep(y: int) -> bool:
+        return any(y & ~t == 0 for t in tops)
+
+    assert _asked(_largest_downward_closed, n, keep) == _asked(reference_downward_closed, n, keep)
+
+
+def test_radon_and_vc_searches_ask_as_the_reference():
+    space = linear_extension_space(("a", "b", "c", "d"))
+    n = space.ground.size
+    masks = halfspaces(space).masks()
+    # Radon shatters 4 points, the half-spaces trace out 3.
+    for make, size in ((lambda: partial(_shattered, _HullCache(space)), 4), (lambda: partial(_traces_all, masks), 3)):
+        got, calls = _asked(_largest_downward_closed, n, make())
+        assert (got, calls) == _asked(reference_downward_closed, n, make())
+        assert got.bit_count() == size and len(calls) > 1000
 
 
 @st.composite
@@ -291,8 +365,6 @@ def test_analyze_on_non_separable_space():
 
 def test_antichain_radon_witness_is_shattered():
     """The 24 linear orders of a 4-antichain shatter 4 of them."""
-    from radonnets import linear_extension_space
-
     space = linear_extension_space(("a", "b", "c", "d"))
     r, witness = radon_number(space)
     assert r == 5

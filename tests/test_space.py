@@ -385,6 +385,20 @@ def test_space_file_rejects_malformed(text):
         parse_space_file(text)
 
 
+@pytest.mark.parametrize(
+    "convex, message",
+    [
+        ("[[], [0], [2]]", "has an index outside the ground set"),
+        ("[[], [-1]]", "has an index outside the ground set"),
+        ("[[], [2, 0]]", "has an index outside the ground set"),
+        ("[[], [1, 0]]", "is not strictly ascending"),
+    ],
+)
+def test_space_file_range_check_comes_before_order(convex, message):
+    with pytest.raises(ValueError, match=message):
+        parse_space_file(f'{{"name": "x", "ground": ["a", "b"], "convex": {convex}}}')
+
+
 def test_space_file_checks_axioms():
     with pytest.raises(MissingEmptySet):
         parse_space_file('{"name": "x", "ground": ["a"], "convex": [[0]]}')
