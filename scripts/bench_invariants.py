@@ -1,20 +1,20 @@
 """Time `analyze` on two checkouts of radonnets side by side.
 
-    python3 scripts/bench_invariants.py BEFORE AFTER [--best-of 25] [--runs 3] [--out BENCH_invariants.json]
+    python3 scripts/bench_invariants.py BEFORE AFTER
 
 BEFORE and AFTER are repository roots.  Both packages are imported from
 their `src/` into this one process, under different names, so the two
 sides share the interpreter, the host's load and the run's timing.  Each
-run times `analyze` best-of-N on every space below, alternating the side
-that goes first; every space is built by the side's own generators, and
-both sides must give the same report (values and witnesses) or the
-script exits 1.  The JSON file holds each side's median over the runs,
-in milliseconds, and every run's figure.
+run times `analyze` best of BEST_OF calls on every space below,
+alternating the side that goes first; every space is built by the side's
+own generators, and both sides must give the same report (values and
+witnesses) or the script exits 1.  `BENCH_invariants.json` at the root of
+this repository gets each side's median over RUNS runs, in milliseconds,
+and every run's figure.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import json
 import os
@@ -24,6 +24,10 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+BEST_OF = 25
+RUNS = 5
+OUT = Path(__file__).resolve().parent.parent / "BENCH_invariants.json"
 
 # The spaces whose `analyze` the Radon and VC frontier searches dominate,
 # and two where they do not (lattice-2x3 is Helly-bound, power-5 tiny).
@@ -84,17 +88,11 @@ def best_of(sides, spaces, best: int) -> list[float]:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("before", type=Path)
-    parser.add_argument("after", type=Path)
-    parser.add_argument("--best-of", type=int, default=25)
-    parser.add_argument("--runs", type=int, default=3)
-    parser.add_argument("--out", type=Path, default=Path("BENCH_invariants.json"))
-    args = parser.parse_args()
-    if args.runs < 3 or args.best_of < 1:
-        parser.error("need --runs >= 3 and --best-of >= 1")
-
-    sides = [load(args.before, "radonnets_before"), load(args.after, "radonnets_after")]
+    if len(sys.argv) != 3:
+        print("usage: python3 scripts/bench_invariants.py BEFORE AFTER", file=sys.stderr)
+        return 2
+    roots = [Path(arg) for arg in sys.argv[1:]]
+    sides = [load(roots[0], "radonnets_before"), load(roots[1], "radonnets_after")]
     built = {name: [make(rn) for rn in sides] for name, make in SPACES.items()}
     for name, spaces in built.items():
         before, after = (report_key(rn.analyze(sp)) for rn, sp in zip(sides, spaces))
@@ -103,9 +101,9 @@ def main() -> int:
             return 1
 
     runs: dict[str, list[list[float]]] = {name: [] for name in SPACES}
-    for _ in range(args.runs):
+    for _ in range(RUNS):
         for name, spaces in built.items():
-            runs[name].append(best_of(sides, spaces, args.best_of))
+            runs[name].append(best_of(sides, spaces, BEST_OF))
 
     rows = {}
     for name, pairs in runs.items():
@@ -122,12 +120,12 @@ def main() -> int:
     total_after = sum(r["after_ms"] for r in rows.values())
     doc = {
         "what": "radonnets analyze(space), best of N alternating calls per run; median over runs",
-        "before": describe(args.before),
-        "after": describe(args.after),
+        "before": describe(roots[0]),
+        "after": describe(roots[1]),
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
-        "best_of": args.best_of,
-        "runs": args.runs,
+        "best_of": BEST_OF,
+        "runs": RUNS,
         "identical_reports": True,
         "spaces": rows,
         "total": {
@@ -136,7 +134,7 @@ def main() -> int:
             "speedup": round(total_before / total_after, 3),
         },
     }
-    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for name, r in rows.items():
         print(f"{name:20s} {r['before_ms']:8.2f} -> {r['after_ms']:8.2f} ms  x{r['speedup']:.2f}")
     return 0

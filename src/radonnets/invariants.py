@@ -106,18 +106,11 @@ def _shattered(hc: _HullCache, y: int) -> bool:
     low = y & -y
     rest = y ^ low
     sub = rest
-    memo = hc.memo
     while sub:
         sub = (sub - 1) & rest
         a = low | sub
         b = y ^ a
-        ha = memo.get(a)
-        if ha is None:
-            ha = hc.hull(a)
-        hb = memo.get(b)
-        if hb is None:
-            hb = hc.hull(b)
-        if ha & hb:
+        if hc.hull(a) & hc.hull(b):
             return False
     return True
 
