@@ -138,15 +138,18 @@ def _k_colorable(adj: Sequence[int], uncolored: int, forbidden: list[int], used:
             if cnt == 1:
                 break
     rest = uncolored & ~(1 << best_v)
-    neighbors = PointSet(adj[best_v] & rest).indices
+    neighbors = adj[best_v] & rest
     m = k_mask & ~forbidden[best_v] & ((2 << used) - 1)
     while m:
         low = m & -m
         m ^= low
         c = low.bit_length() - 1
-        nxt = list(forbidden)
-        for u in neighbors:
-            nxt[u] |= low
+        nxt = forbidden.copy()
+        nb = neighbors
+        while nb:
+            u = nb & -nb
+            nxt[u.bit_length() - 1] |= low
+            nb ^= u
         if _k_colorable(adj, rest, nxt, max(used, c + 1), k):
             return True
     return False

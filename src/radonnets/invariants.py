@@ -13,13 +13,24 @@ All three are computed exactly by constrained search:
 
 Shattering and full traces are downward monotone, so one frontier
 search, growing sets by size, serves Radon and VC.  A candidate is
-asked about only when every one-point-smaller subset was accepted; one
+considered only when every one-point-smaller subset was accepted; one
 pass over each level builds, per dropped set, the mask of points that
 extend it within the level, and a set's allowed extensions are the AND
-of those masks over its drops.  The two searches stay independent, so
-`analyze` checks VC against Radon rather than deriving it.  Reported
-witnesses are the lexicographically least of maximum size, so results
-are reproducible across runs.
+of those masks over its drops.  Each frontier set is then asked once for
+the allowed points that extend it:
+
+* VC groups the family by trace on the set.  Unless every trace occurs
+  the set is not shattered; otherwise a point extends it exactly when
+  it splits every group, in some member of the group and outside
+  another.
+* Radon drops the points in the hull of the set y at once, hulls each
+  non-empty B ⊆ y once, and tests each remaining point q against every
+  split (A | q, B) with A = y ^ B, A = ∅ included: a singleton need not
+  be convex, so q outside hull(y) does not settle the split ({q}, y).
+
+The two searches stay independent, so `analyze` checks VC against Radon
+rather than deriving it.  Reported witnesses are the lexicographically
+least of maximum size, so results are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -50,17 +61,19 @@ class InvariantReport:
     vc_witness: PointSet
 
 
-def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
-    """Lexicographically least maximum subset of range(n) accepted by the
-    downward-monotone `keep`, grown by size from a frontier of accepted
-    sets.  Extending only by points above the top index generates every
-    candidate once, in lexicographic order.  A frontier holds every
-    accepted set of its size, so a candidate with a one-point-smaller
-    subset outside it would be rejected, and `keep` is not asked.
+def _largest_downward_closed(n: int, grow: Callable[[int, int], int]) -> int:
+    """Lexicographically least maximum subset of range(n) in a downward
+    closed class, grown by size from a frontier of its sets.
 
-    Those subsets are read off per-drop extension masks: `ext[d]` has
-    bit p when d | p is in the frontier, so y may grow by q exactly when
-    q is in `ext[y ^ p]` for every point p of y."""
+    Extending only by points above the top index generates every
+    candidate once, in lexicographic order.  A frontier holds every set
+    of the class of its size, so a candidate with a one-point-smaller
+    subset outside it is not in the class either.  Those subsets are read
+    off per-drop extension masks: `ext[d]` has bit p when d | p is in the
+    frontier, so y may grow by q only when q is in `ext[y ^ p]` for every
+    point p of y.  For each frontier set y with such points, `grow(y,
+    allowed)` is asked once and returns the points q of `allowed` for
+    which y | q is in the class."""
     full = (1 << n) - 1
     frontier = [0]
     best = 0
@@ -82,37 +95,48 @@ def _largest_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
                 low = rest & -rest
                 allowed &= ext[y ^ low]
                 rest ^= low
-            while allowed:
-                bit = allowed & -allowed
-                if keep(y | bit):
+            if allowed:
+                got = grow(y, allowed)
+                while got:
+                    bit = got & -got
                     nxt.append(y | bit)
-                allowed ^= bit
+                    got ^= bit
         if nxt:
             best = nxt[0]
         frontier = nxt
     return best
 
 
-def _shattered(hc: _HullCache, y: int) -> bool:
-    """Every bipartition of `y` has hulls with empty intersection.
+def _shattered_extensions(hc: _HullCache, y: int, allowed: int) -> int:
+    """The points q of `allowed` (none of them in y) for which y | q is
+    Radon-shattered: every bipartition has hulls with empty intersection.
 
-    The hull of the empty part is empty, so one-sided splits are fine and
-    the empty set and singletons are trivially shattered.  The split
-    (y, ∅) is skipped, so the hull of `y` itself is never computed.
+    Each split of y | q puts q beside some A ⊆ y and is tested as
+    hull(A | q) & hull(y ^ A).  The split A = y leaves the other part
+    empty, so it is disjoint trivially and the hull of y | q is never
+    computed.  The split A = ∅ rejects every q in hull(y) at once, but
+    still has to be tested for the rest: a singleton need not be convex.
     """
-    if y == 0 or y & (y - 1) == 0:
-        return True
-    # Fix the lowest point into part one so each unordered split comes up once.
-    low = y & -y
-    rest = y ^ low
-    sub = rest
-    while sub:
-        sub = (sub - 1) & rest
-        a = low | sub
-        b = y ^ a
-        if hc.hull(a) & hc.hull(b):
-            return False
-    return True
+    hull = hc.hull
+    rest = allowed & ~hull(y)
+    if not rest:
+        return 0
+    # (A, hull(y ^ A)) for every A ⊊ y, ending with A = ∅.
+    sides = []
+    a = y
+    while a:
+        a = (a - 1) & y
+        sides.append((a, hull(y ^ a)))
+    out = 0
+    while rest:
+        q = rest & -rest
+        rest ^= q
+        for a, hb in sides:
+            if hull(a | q) & hb:
+                break
+        else:
+            out |= q
+    return out
 
 
 def radon_number(space: ConvexitySpace) -> tuple[int, PointSet]:
@@ -122,7 +146,7 @@ def radon_number(space: ConvexitySpace) -> tuple[int, PointSet]:
     and the lexicographically least shattered witness of maximum size.
     """
     hc = _HullCache(space)
-    best = _largest_downward_closed(space.ground.size, partial(_shattered, hc))
+    best = _largest_downward_closed(space.ground.size, partial(_shattered_extensions, hc))
     return best.bit_count() + 1, PointSet(best)
 
 
@@ -184,12 +208,32 @@ def _largest_minimal(
 
 def vc_dimension(family: ConvexFamily, ground_size: int) -> tuple[int, PointSet]:
     """Largest set whose every subset is a trace of the family."""
-    best = _largest_downward_closed(ground_size, partial(_traces_all, family.masks()))
+    best = _largest_downward_closed(ground_size, partial(_trace_extensions, family.masks()))
     return best.bit_count(), PointSet(best)
 
 
-def _traces_all(masks: list[int], y: int) -> bool:
-    return len({m & y for m in masks}) == 1 << y.bit_count()
+def _trace_extensions(masks: Sequence[int], y: int, allowed: int) -> int:
+    """The points q of `allowed` (none of them in y) for which y | q is
+    shattered by the traces of `masks`.
+
+    One pass groups the members by trace on y and keeps each group's
+    union and meet.  y | q is shattered exactly when y is (every trace
+    has a group) and q splits every group: it lies in some member of the
+    group and outside another, so it is in the union but not the meet.
+    """
+    groups: dict[int, list[int]] = {}
+    for m in masks:
+        g = groups.get(m & y)
+        if g is None:
+            groups[m & y] = [m, m]
+        else:
+            g[0] |= m
+            g[1] &= m
+    if len(groups) < 1 << y.bit_count():
+        return 0
+    for union, meet in groups.values():
+        allowed &= union & ~meet
+    return allowed
 
 
 def analyze(space: ConvexitySpace) -> InvariantReport:

@@ -35,6 +35,7 @@ from radonnets import (
     subtree_space,
 )
 from radonnets.nets import NetNode, NetParams, _net_params, size_bound_value
+from radonnets.space import _HullCache
 
 
 # --- corpus --------------------------------------------------------------------
@@ -245,8 +246,9 @@ def naive_vc(family: ConvexFamily, ground_size: int) -> int:
 def reference_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
     """The frontier search for Radon and VC as it was before extension
     masks: each candidate y | i tests every one-point-smaller subset
-    against the accepted sets before `keep` is asked.  The library must
-    ask `keep` the same candidates in the same order."""
+    against the accepted sets before `keep` is asked.  The library, its
+    `grow` asking `keep` bit by bit through `per_bit`, must ask the same
+    candidates in the same order."""
     frontier = [0]
     best = 0
     while frontier:
@@ -271,6 +273,42 @@ def reference_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
             best = nxt[0]
         frontier = nxt
     return best
+
+
+def reference_shattered(hc: _HullCache, y: int) -> bool:
+    """The Radon search's test of one candidate as it was before
+    extension masks: every split of y, the lowest point fixed into part
+    one, has hulls with empty intersection.  The split (y, ∅) is skipped,
+    so the hull of y itself is never computed."""
+    if y == 0 or y & (y - 1) == 0:
+        return True
+    low = y & -y
+    rest = y ^ low
+    sub = rest
+    while sub:
+        sub = (sub - 1) & rest
+        a = low | sub
+        if hc.hull(a) & hc.hull(y ^ a):
+            return False
+    return True
+
+
+def reference_traces_all(masks: Sequence[int], y: int) -> bool:
+    """The VC search's test of one candidate as it was before trace
+    classes: the family has all 2^|y| traces on y."""
+    return len({m & y for m in masks}) == 1 << y.bit_count()
+
+
+def per_bit(keep: Callable[[int], bool], y: int, allowed: int) -> int:
+    """The points q of `allowed` for which `keep(y | q)`, asked in
+    increasing order: a one-candidate predicate as a `grow` mask."""
+    got = 0
+    while allowed:
+        bit = allowed & -allowed
+        if keep(y | bit):
+            got |= bit
+        allowed ^= bit
+    return got
 
 
 def fraction_measure(mu: Distribution, points: PointSet) -> Fraction:

@@ -23,7 +23,7 @@ from radonnets import (
     validate_space,
     vc_dimension,
 )
-from radonnets.invariants import _largest_downward_closed, _shattered, _traces_all
+from radonnets.invariants import _largest_downward_closed, _shattered_extensions, _trace_extensions
 from radonnets.space import _HullCache
 
 from conftest import (
@@ -31,9 +31,12 @@ from conftest import (
     naive_radon,
     naive_shattered,
     naive_vc,
+    per_bit,
     point_side_helly,
     reference_downward_closed,
     reference_helly,
+    reference_shattered,
+    reference_traces_all,
 )
 
 # name -> (ground size, |convex|, |halfspaces|, radon, helly, vc)
@@ -78,6 +81,15 @@ def test_radon_witness_examples():
     r, witness = radon_number(path3)
     assert r == 3
     assert witness.indices == (0, 1)
+
+
+def _shattered(hc: _HullCache, y: int) -> bool:
+    """Whether the Radon search accepts y, asked as y's top point
+    extending the rest."""
+    if y == 0:
+        return True
+    top = 1 << (y.bit_length() - 1)
+    return _shattered_extensions(hc, y ^ top, top) == top
 
 
 def test_shattered_examples():
@@ -131,13 +143,16 @@ def test_analyze_two_chains_of_five():
 def test_shattered_never_hulls_the_candidate():
     """The split (y, ∅) is disjoint without a hull, so an accepted y leaves
     exactly its proper subsets in the memo, and a rejected one none of
-    itself."""
+    itself.  Five points are never shattered here (the Radon number is
+    5); the lowest point outside the witness makes a fifth."""
     space = linear_extension_space(("a", "b", "c", "d"))
     witness = radon_number(space)[1].mask
     hc = _HullCache(space)
     assert _shattered(hc, witness)
     assert set(hc.memo) == {sub for sub in range(1 << space.ground.size) if sub & ~witness == 0 and sub != witness}
-    for y in (0b11, 0b111, space.full.mask):
+    five = witness | (~witness & (witness + 1))
+    assert not _shattered(_HullCache(space), five)
+    for y in (0b11, 0b111, five):
         hc = _HullCache(space)
         _shattered(hc, y)
         assert y not in hc.memo
@@ -152,6 +167,11 @@ def _asked(search, n, keep) -> tuple[int, list[int]]:
         return keep(y)
 
     return search(n, ask), calls
+
+
+def _search_by_bit(n: int, keep) -> int:
+    """The library's search, its `grow` asking `keep` bit by bit."""
+    return _largest_downward_closed(n, partial(per_bit, keep))
 
 
 @st.composite
@@ -170,18 +190,65 @@ def test_downward_closed_search_asks_as_the_reference(case):
     def keep(y: int) -> bool:
         return any(y & ~t == 0 for t in tops)
 
-    assert _asked(_largest_downward_closed, n, keep) == _asked(reference_downward_closed, n, keep)
+    assert _asked(_search_by_bit, n, keep) == _asked(reference_downward_closed, n, keep)
 
 
 def test_radon_and_vc_searches_ask_as_the_reference():
+    """On the 4-antichain, every extension mask the search asks for is the
+    one the per-candidate reference predicate gives, bit by bit, and the
+    answer is the reference search's."""
     space = linear_extension_space(("a", "b", "c", "d"))
     n = space.ground.size
     masks = halfspaces(space).masks()
     # Radon shatters 4 points, the half-spaces trace out 3.
-    for make, size in ((lambda: partial(_shattered, _HullCache(space)), 4), (lambda: partial(_traces_all, masks), 3)):
-        got, calls = _asked(_largest_downward_closed, n, make())
-        assert (got, calls) == _asked(reference_downward_closed, n, make())
-        assert got.bit_count() == size and len(calls) > 1000
+    for grow, keep, size in (
+        (partial(_shattered_extensions, _HullCache(space)), partial(reference_shattered, _HullCache(space)), 4),
+        (partial(_trace_extensions, masks), partial(reference_traces_all, masks), 3),
+    ):
+        asked = []
+
+        def checked(y: int, allowed: int) -> int:
+            got = grow(y, allowed)
+            assert got == per_bit(keep, y, allowed), (y, allowed)
+            asked.append(y)
+            return got
+
+        best = _largest_downward_closed(n, checked)
+        assert best == reference_downward_closed(n, keep)
+        assert best.bit_count() == size and len(asked) > 100
+
+
+@st.composite
+def extension_queries(draw, n: int):
+    """A set y of at most 3 of n points, so that it is often shattered,
+    and a mask of points outside it."""
+    y = 0
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        y |= 1 << i
+    return y, draw(st.integers(0, (1 << n) - 1)) & ~y
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_trace_extensions_match_the_reference(data):
+    """On families that are mostly not closed under intersection."""
+    n, fam = data.draw(families())
+    y, allowed = data.draw(extension_queries(n))
+    masks = fam.masks()
+    assert _trace_extensions(masks, y, allowed) == per_bit(partial(reference_traces_all, masks), y, allowed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_shattered_extensions_match_the_reference(data):
+    """On intersection closures, where a singleton need not be convex, so
+    the split ({q}, y) is not settled by q lying outside hull(y)."""
+    n = data.draw(st.integers(1, 7))
+    basis = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    space = intersection_closure(GroundSet(tuple(str(i) for i in range(n))), [PointSet(b) for b in basis])
+    y, allowed = data.draw(extension_queries(n))
+    got = _shattered_extensions(_HullCache(space), y, allowed)
+    assert got == per_bit(partial(reference_shattered, _HullCache(space)), y, allowed)
 
 
 @st.composite
