@@ -276,9 +276,9 @@ def reference_downward_closed(n: int, keep: Callable[[int], bool]) -> int:
 
 
 def reference_shattered(hc: _HullCache, y: int) -> bool:
-    """The Radon search's test of one candidate as it was before
-    extension masks: every split of y, the lowest point fixed into part
-    one, has hulls with empty intersection.  The split (y, ∅) is skipped,
+    """The Radon search's test of one candidate, as it was before each
+    frontier set was asked for its extension mask: every split of y, the
+    lowest point fixed into part one, has hulls with empty intersection.  The split (y, ∅) is skipped,
     so the hull of y itself is never computed."""
     if y == 0 or y & (y - 1) == 0:
         return True
