@@ -22,8 +22,10 @@ supports' masses, lightest weights and piercing points are computed once
 per build.  On a support m half-spaces with one trace b & m are at
 distance 0, so packings run over the distinct traces, one half-space each
 (the first in canonical order, so no sort), and take them all when each
-point of m has mu_m-weight above delta.  All comparisons are exact, in
-integers (`Distribution.mass` against delta p/q).
+point of m has mu_m-weight above delta.  The grouping by trace does not
+depend on the measure or the threshold, so the family keeps it per
+support across builds (`ConvexFamily.trace_classes`).  All comparisons
+are exact, in integers (`Distribution.mass` against delta p/q).
 The recursion trace is built from a flat per-level record when read.
 
 The finished net is checked against every convex set of the space; a
@@ -226,9 +228,8 @@ def build_weak_net(
     # Also checks eps and the size of mu; the finished net is checked against these.
     dense = dense_sets(space, mu, eps)
     full = space.full.mask
-    members = [(s.mask, s) for s in family.sets]
-    for b, s in members:
-        if b & ~full:
+    for s in family.sets:
+        if s.mask & ~full:
             raise ValueError(f"family member {s} is not a subset of the ground set")
     h = helly_number(family)[0] if helly is None else helly
     v = vc_dimension(family, space.ground.size)[0] if vc is None else vc
@@ -240,7 +241,8 @@ def build_weak_net(
     # Only delta depends on the level, so the rest is computed once per build.
     # Per support m: its mass, lightest point weight and piercing point, and
     # its distinct traces t = b & m, each with the first half-space in
-    # canonical order that has it.  Per level: the running
+    # canonical order that has it (the family's trace classes on m, whose
+    # meets give the piercing point).  Per level: the running
     # threshold e = eps (1 + 1/(2h))^level, its delta as p/q in lowest terms,
     # Haussler's cap (4e^2/delta)^v in log space (float(delta) underflows),
     # and the frontier of the level's distinct supports.
@@ -260,16 +262,9 @@ def build_weak_net(
                 w_m = wsum(m)
                 # Half-spaces with one trace share their mass on m: each trace
                 # is tested once, and if dense ANDs in the meet of its half-spaces.
-                first: dict[int, PointSet] = {}
-                meet: dict[int, int] = {}
-                for b, s in members:
-                    t = b & m
-                    if t in meet:
-                        meet[t] &= b
-                    else:
-                        first[t], meet[t] = s, b
+                traces, meets = family.trace_classes(m)
                 inter = full
-                for t, b in meet.items():
+                for (t, _), b in zip(traces, meets):
                     # mu_m(t) > 1 - 1/h, cross-multiplied.
                     if h * wsum(t) > (h - 1) * w_m:
                         inter &= b
@@ -279,7 +274,7 @@ def build_weak_net(
                     )
                 x0 = (inter & -inter).bit_length() - 1
                 w_min = min(nums[i] for i in range(m.bit_length()) if m >> i & 1)
-                got = pierced[m] = (w_m, w_min, x0, tuple(first.items()))
+                got = pierced[m] = (w_m, w_min, x0, traces)
                 points_mask |= 1 << x0
             w_m, w_min, x0, traces = got
             if level == depth:

@@ -20,8 +20,9 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 DEFAULT_CAP = 64
 
@@ -75,9 +76,12 @@ def check_depth(depth: int, what: str) -> None:
 
 
 def check_eps(eps: Fraction) -> Fraction:
-    """`eps` as a Fraction; a `ValueError` unless 0 < eps <= 1."""
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
+    """`eps` as a Fraction; a `ValueError` unless 0 < eps <= 1.  A plain
+    Fraction is returned as it is and checked in integers (its denominator
+    is positive); anything else goes through `Fraction(eps)` first."""
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
+    if not 0 < eps.numerator <= eps.denominator:
         raise ValueError("eps must satisfy 0 < eps <= 1")
     return eps
 
@@ -199,6 +203,7 @@ class ConvexFamily:
     """
 
     sets: tuple[PointSet, ...]
+    _traces: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # Duplicate-free, in canonical order (lex by ascending indices).
@@ -215,10 +220,30 @@ class ConvexFamily:
         such as a subsequence of another family's sets; not re-sorted."""
         family = object.__new__(cls)
         object.__setattr__(family, "sets", sets)
+        object.__setattr__(family, "_traces", {})
         return family
 
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
+
+    def trace_classes(self, m: int) -> tuple[tuple[tuple[int, PointSet], ...], tuple[int, ...]]:
+        """The members grouped by their trace b & m, per distinct trace in
+        order of first appearance: the (trace, first member) pairs, and the
+        meets of the classes in the same order.  Kept per `m` on the family,
+        so later calls with the same mask cost a dict lookup."""
+        got = self._traces.get(m)
+        if got is None:
+            first: dict[int, PointSet] = {}
+            meet: dict[int, int] = {}
+            for s in self.sets:
+                b = s.mask
+                t = b & m
+                if t in meet:
+                    meet[t] &= b
+                else:
+                    first[t], meet[t] = s, b
+            got = self._traces[m] = (tuple(first.items()), tuple(meet.values()))
+        return got
 
     def __len__(self) -> int:
         return len(self.sets)
@@ -247,12 +272,17 @@ class ConvexitySpace:
 @dataclass(frozen=True, slots=True)
 class Distribution:
     """Probability distribution on a ground set; weights are exact rationals,
-    also held as integers `nums` over their common denominator `den`."""
+    also held as integers `nums` over their common denominator `den`.
+
+    `mass(mask)` is the measure of the points in `mask`, a non-negative
+    mask within the ground set, times `den`.  It is a subset-sum lookup
+    built once per distribution: the lone table's `__getitem__` on up to
+    8 points, `masked_sum` over the byte-chunked tables above that."""
 
     weights: tuple[Fraction, ...]
     nums: tuple[int, ...] = field(init=False, compare=False, repr=False)
     den: int = field(init=False, compare=False, repr=False)
-    _tables: list[list[int]] = field(init=False, compare=False, repr=False)
+    mass: Callable[[int], int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ws = tuple(Fraction(w) for w in self.weights)
@@ -265,7 +295,9 @@ class Distribution:
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_tables", weight_tables(nums))
+        tables = weight_tables(nums)
+        mass = tables[0].__getitem__ if len(tables) == 1 else partial(masked_sum, tables)
+        object.__setattr__(self, "mass", mass)
 
     @classmethod
     def uniform(cls, size: int) -> "Distribution":
@@ -294,10 +326,6 @@ class Distribution:
 
     def support(self) -> PointSet:
         return PointSet.from_indices(i for i, n in enumerate(self.nums) if n > 0)
-
-    def mass(self, mask: int) -> int:
-        """Measure of the points in `mask` (within the ground set), times `den`."""
-        return masked_sum(self._tables, mask)
 
 
 class SeparationCheck(NamedTuple):

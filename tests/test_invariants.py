@@ -149,7 +149,9 @@ def test_shattered_never_hulls_the_candidate():
     witness = radon_number(space)[1].mask
     hc = _HullCache(space)
     assert _shattered(hc, witness)
-    assert set(hc.memo) == {sub for sub in range(1 << space.ground.size) if sub & ~witness == 0 and sub != witness}
+    bits = PointSet(witness).indices
+    proper = {sum(1 << i for i in sub) for size in range(len(bits)) for sub in combinations(bits, size)}
+    assert set(hc.memo) == proper
     five = witness | (~witness & (witness + 1))
     assert not _shattered(_HullCache(space), five)
     for y in (0b11, 0b111, five):

@@ -362,6 +362,28 @@ def test_net_matches_the_per_level_recursion_on_random_closures(case):
     assert (net.nodes, net.supports, net.memo_hits, net.max_packing) == dag
 
 
+@settings(max_examples=100, deadline=None)
+@given(net_inputs(), st.data())
+def test_net_on_a_warmed_family_equals_one_on_a_fresh_copy(case, data):
+    """The half-space family keeps its trace classes across builds; after
+    builds with other measures and thresholds, a net built on it equals
+    one built on a fresh copy, and the per-level recursion."""
+    space, mu, eps = case
+    b = halfspaces(space)
+    assume(len(b) > 2)
+    h, v = helly_number(b)[0], vc_dimension(b, space.ground.size)[0]
+    n = space.ground.size
+    for _ in range(data.draw(st.integers(1, 3))):
+        nums = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n).filter(any))
+        other = data.draw(st.sampled_from([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)]))
+        build_weak_net(space, b, Distribution.from_integer_weights(nums), other, helly=h, vc=v)
+    net = build_weak_net(space, b, mu, eps, helly=h, vc=v)
+    assert net == build_weak_net(space, ConvexFamily(b.sets), mu, eps, helly=h, vc=v)
+    ref = reference_build_weak_net(space, b, mu, eps, h, v)
+    assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params)
+    assert same_trace(net.trace, ref.trace)
+
+
 def test_greedy_packing_drops_traces_within_delta(corpus):
     """When some point of a support weighs no more than delta, the packing
     scans the traces greedily.  On this tree and measure it drops traces

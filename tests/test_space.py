@@ -1,7 +1,14 @@
+import copy
+import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial, reduce
+from operator import and_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radonnets import (
     ConvexFamily,
@@ -27,7 +34,7 @@ from radonnets import (
     subtree_space,
     validate_space,
 )
-from radonnets.space import _HullCache, masked_sum, weight_tables
+from radonnets.space import _HullCache, check_eps, masked_sum, weight_tables
 
 from conftest import fraction_measure, naive_hull
 
@@ -133,6 +140,31 @@ def test_family_canonicalizes():
     assert len(fam) == 3
     assert PointSet.from_indices([1]) in fam
     assert PointSet.from_indices([0]) not in fam
+
+
+def test_trace_classes_group_members_by_trace():
+    """Per trace on m, in order of first appearance: the first member with
+    it, and the meet of all of them.  A family keeps them per mask, whether
+    built by the constructor or by `from_canonical` (as `halfspaces` is),
+    and what it keeps changes neither equality, hash nor repr."""
+    sp = random_separable(6, 3)
+    canonical = halfspaces(sp)
+    built = ConvexFamily(canonical.sets)
+    masks = canonical.masks()
+    for fam in (canonical, built):
+        for m in range(1 << 6):
+            got = fam.trace_classes(m)
+            assert fam.trace_classes(m) is got
+            pairs, meets = got
+            assert [t for t, _ in pairs] == list(dict.fromkeys(b & m for b in masks))
+            assert len(meets) == len(pairs)
+            for (t, first), meet in zip(pairs, meets):
+                members = [b for b in masks if b & m == t]
+                assert (first.mask, meet) == (members[0], reduce(and_, members))
+    fresh = ConvexFamily(canonical.sets)
+    for warm in (canonical, built):
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+    assert repr(fresh) == f"ConvexFamily(sets={fresh.sets!r})"
 
 
 def test_validate_space_accepts_power_set():
@@ -288,6 +320,59 @@ def test_distribution_validation():
         Distribution.from_integer_weights([0, 0])
 
 
+def reference_check_eps(eps) -> Fraction:
+    """The eps rule as `Fraction(eps)` and one Fraction comparison."""
+    eps = Fraction(eps)
+    if not 0 < eps <= 1:
+        raise ValueError("eps must satisfy 0 < eps <= 1")
+    return eps
+
+
+class SubFraction(Fraction):
+    pass
+
+
+def _outcome(check, eps):
+    try:
+        got = check(eps)
+    except Exception as exc:  # the two rules must fail alike
+        return type(exc), str(exc)
+    return type(got), got
+
+
+EPS_INPUTS = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-4, 12), st.integers(0, 12)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.fractions(-2, 3),
+    st.fractions(-2, 3).map(SubFraction),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(EPS_INPUTS)
+def test_check_eps_accepts_what_the_fraction_rule_accepts(eps):
+    """Ints, bools, "p/q" strings, floats, Decimals, Fractions and a
+    Fraction subclass, 0, negatives and values above 1: the same result
+    (always a plain Fraction) or the same error as the reference rule; a
+    plain Fraction in range comes back as it is."""
+    got = _outcome(check_eps, eps)
+    assert got == _outcome(reference_check_eps, eps)
+    if got[0] is Fraction and type(eps) is Fraction:
+        assert check_eps(eps) is eps
+
+
+def test_check_eps_examples():
+    assert check_eps(1) == 1 and type(check_eps(True)) is Fraction
+    assert check_eps("3/4") == Fraction(3, 4) and check_eps(Decimal("0.5")) == Fraction(1, 2)
+    assert type(check_eps(SubFraction(1, 2))) is Fraction
+    for bad in (0, -1, Fraction(5, 4), "0/3", 1.5, Decimal("-0.1"), SubFraction(3, 2)):
+        with pytest.raises(ValueError, match="eps must satisfy 0 < eps <= 1"):
+            check_eps(bad)
+
+
 def test_distribution_constructors():
     mu = Distribution.uniform(4)
     assert mu.mass(0b1111) == mu.den
@@ -339,6 +424,39 @@ def test_weight_tables_match_fractions():
             assert tbl == [sum(nums[8 * c + i] for i in PointSet(v).indices) for v in range(len(tbl))]
     assert weight_tables([]) == [[0]]
     assert masked_sum(weight_tables([]), 0) == 0
+
+
+def test_mass_is_a_lookup_matching_the_fraction_sum():
+    """`mass` over `den` is the Fraction sum on grounds of 1 to 17 points:
+    the lone table's lookup up to 8 points and the chunked sum above, on
+    both sides of the chunk boundaries at 8 and 16.  A ground of 0 points
+    has no distribution."""
+    with pytest.raises(ValueError):
+        Distribution(())
+    rng = random.Random(17)
+    for n in range(1, 18):
+        nums = [rng.randint(0, 9) for _ in range(n)]
+        nums[-1] += 1
+        mu = Distribution.from_integer_weights(nums)
+        assert isinstance(mu.mass, partial) == (n > 8)
+        masks = range(1 << n) if n <= 10 else [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(300)]
+        for m in masks:
+            assert Fraction(mu.mass(m), mu.den) == fraction_measure(mu, PointSet(m))
+
+
+def test_distribution_round_trips_ignore_the_mass_lookup():
+    """Equality, hash and repr read the weights alone; a deep copy and a
+    pickle round trip give an equal distribution with the same masses."""
+    for nums in ([1, 2, 3], list(range(1, 13))):
+        mu = Distribution.from_integer_weights(nums)
+        twin = Distribution.from_integer_weights(nums)
+        assert mu == twin and hash(mu) == hash(twin) and mu.mass is not twin.mass
+        assert repr(mu) == f"Distribution(weights={mu.weights!r})"
+        masses = [mu.mass(m) for m in range(1 << len(nums))]
+        for other in (copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert other == mu and hash(other) == hash(mu) and repr(other) == repr(mu)
+            assert (other.nums, other.den) == (mu.nums, mu.den)
+            assert [other.mass(m) for m in range(1 << len(nums))] == masses
 
 
 def test_mass_on_eight_table_chunks():
