@@ -65,7 +65,7 @@ def net_key(net) -> tuple:
     """A net with its counters and level record, in plain ints; a packing
     is compared by its (trace, half-space) pairs."""
     levels = tuple(
-        (e, tuple((m, x0, None if chosen is None else tuple((c[0], c[1].mask) for c in chosen)) for m, x0, chosen in here))
+        (e, tuple((m, x0, None if chosen is None else tuple((t, s.mask) for t, s in chosen)) for m, x0, chosen in here))
         for e, here in net._levels
     )
     p = net.params
