@@ -29,13 +29,16 @@ BEST_OF = 25
 RUNS = 5
 OUT = Path(__file__).resolve().parent.parent / "BENCH_invariants.json"
 
-# The spaces whose `analyze` the Radon and VC frontier searches dominate,
-# and two where they do not (lattice-2x3 is Helly-bound, power-5 tiny).
+# The spaces whose `analyze` the Radon and VC frontier searches dominate;
+# lattice-2x3 and lattice-3x3, where Helly does; tree-8v-22, the corpus's
+# 8-point star, where Radon and Helly share it; and power-5, a tiny space.
 SPACES = {
     "poset-twochains-5": lambda rn: rn.linear_extension_space(("a", "b", "c", "d", "e"), (("a", "b"), ("c", "d"))),
     "poset-antichain-4": lambda rn: rn.linear_extension_space(("a", "b", "c", "d")),
     "cylinders-4": lambda rn: rn.cylinder_space(4),
     "lattice-2x3": lambda rn: rn.lattice_convex_space(2, 3),
+    "lattice-3x3": lambda rn: rn.lattice_convex_space(3, 3),
+    "tree-8v-22": lambda rn: rn.subtree_space([("0", str(i)) for i in range(2, 8)] + [("1", "0")]),
     "power-5": lambda rn: rn.power_set_space(5),
 }
 

@@ -6,9 +6,12 @@ All three are computed exactly by constrained search:
 * Helly: the largest inclusion-minimal subfamily with empty intersection.
   Such a family is one whose every member has a private point, in all
   the other members but not in it.  A DFS over index-increasing
-  subfamilies tracks each member's private region and cuts a branch as
-  soon as one empties, which keeps it to the minimal families and their
-  prefixes.
+  subfamilies tracks the intersection and each member's private region.
+  Every member still to come misses a point of the intersection and
+  meets every region, so with one column mask per point (the members
+  containing it) a node's candidates are a single mask, and the DFS
+  stops once the members chosen plus the candidates left cannot
+  outnumber the best family found.
 * VC: the largest set whose every subset is a trace of the family.
 
 Shattering and full traces are downward monotone, so one frontier
@@ -27,6 +30,8 @@ the allowed points that extend it:
   non-empty B ⊆ y once, and tests each remaining point q against every
   split (A | q, B) with A = y ^ B, A = ∅ included: a singleton need not
   be convex, so q outside hull(y) does not settle the split ({q}, y).
+  A hull is the least member containing the set, read off the point
+  rows of the members in order of size.
 
 The two searches stay independent, so `analyze` checks VC against Radon
 rather than deriving it.  Reported witnesses are the lexicographically
@@ -45,8 +50,8 @@ from .space import (
     ConvexitySpace,
     PointSet,
     _HullCache,
+    _separation,
     halfspaces,
-    is_separable,
 )
 
 
@@ -170,39 +175,72 @@ def helly_number(family: ConvexFamily) -> tuple[int, tuple[PointSet, ...]]:
         return 1, ()
     if union == 0:
         return 1, family.sets  # just the empty set
-    best = _largest_minimal(masks, [], [], union, 0, 0)
+    # col[x]: the members that contain point x, one bit per member.
+    col = [0] * union.bit_length()
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            col[low.bit_length() - 1] |= bit
+            m ^= low
+    best = _largest_minimal(masks, col, [], [], union, (1 << len(masks)) - 1, 0)
     return len(best), tuple(family.sets[j] for j in best)
 
 
 def _largest_minimal(
-    masks: Sequence[int], chosen: list[int], private: list[int], inter: int, start: int, best_size: int
+    masks: Sequence[int], col: Sequence[int], chosen: list[int], private: list[int], inter: int, rest: int, best_size: int
 ) -> Optional[tuple[int, ...]]:
     """Canonically least largest family, with more than `best_size`
     members, that is inclusion-minimal with empty intersection and
-    extends `chosen` by members from `start` on; None when there is none.
+    extends `chosen` by members in the mask `rest`; None when there is
+    none.
 
     A family is minimal with empty intersection exactly when its
     intersection is empty and each member has a private point, one in
     every other member but not in it.  `inter` is the intersection of
     `chosen` and `private[i]` the points in every chosen member but
-    `chosen[i]`; adding members only shrinks them, so a branch is cut as
-    soon as a private region empties.
+    `chosen[i]`; adding members only shrinks them.  So every member still
+    to come misses a point of `inter` (its own private point) and meets
+    every private region, and the candidates are the members of `rest`
+    outside the AND of the columns over `inter` and inside the OR of the
+    columns over each region.  A child's candidates are among the
+    parent's that follow it, so `rest` for a child is what is left of
+    the parent's candidates.
     """
     if inter == 0:
         return tuple(chosen) if len(chosen) > best_size else None
+    size = len(chosen)
     # The members still to come have distinct private points inside `inter`.
-    if len(chosen) + inter.bit_count() <= best_size:
+    if size + inter.bit_count() <= best_size:
         return None
+    # Each loop stops once no candidate is left for its remaining points to decide.
+    within = rest
+    x = inter
+    while x and within:
+        low = x & -x
+        within &= col[low.bit_length() - 1]
+        x ^= low
+    cands = rest & ~within
+    for p in private:
+        meet = 0
+        while p and cands & ~meet:
+            low = p & -p
+            meet |= col[low.bit_length() - 1]
+            p ^= low
+        cands &= meet
     best = None
-    for j in range(start, len(masks)):
+    # Each candidate adds at most one member: stop once those left cannot
+    # outnumber the best.
+    while cands and size + cands.bit_count() > best_size:
+        low = cands & -cands
+        cands ^= low
+        j = low.bit_length() - 1
         m = masks[j]
-        if inter & ~m:
-            kept = [p & m for p in private]
-            if all(kept):
-                kept.append(inter & ~m)
-                got = _largest_minimal(masks, chosen + [j], kept, inter & m, j + 1, best_size)
-                if got is not None:
-                    best, best_size = got, len(got)
+        kept = [p & m for p in private]
+        kept.append(inter & ~m)
+        got = _largest_minimal(masks, col, chosen + [j], kept, inter & m, cands, best_size)
+        if got is not None:
+            best, best_size = got, len(got)
     return best
 
 
@@ -252,7 +290,7 @@ def analyze(space: ConvexitySpace) -> InvariantReport:
     half = halfspaces(space)
     helly, helly_wit = helly_number(half)
     vc, vc_wit = vc_dimension(half, space.ground.size)
-    sep = is_separable(space).separable
+    sep = _separation(space, half.masks()).separable
     if sep:
         if helly > radon - 1:
             raise ConsistencyError(

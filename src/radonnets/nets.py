@@ -239,14 +239,16 @@ def build_weak_net(
     # Nothing else bounds depth times the digits of each level's eps.
     check_depth(depth, "eps")
     # Only delta depends on the level, so the rest is computed once per build.
-    # Per support m: its mass, lightest point weight and piercing point, and
-    # its distinct traces t = b & m, each with the first half-space in
-    # canonical order that has it (the family's trace classes on m, whose
-    # meets give the piercing point).  Per level: the running
+    # Per support m: its mass, lightest point weight and piercing point, its
+    # distinct traces t = b & m, each with the first half-space in canonical
+    # order that has it (the family's trace classes on m, whose meets give
+    # the piercing point), and the non-empty traces as dict keys, the
+    # children when every trace is packed (m lies inside the support of mu,
+    # so a child t = m & a has mass iff t != 0).  Per level: the running
     # threshold e = eps (1 + 1/(2h))^level, its delta as p/q in lowest terms,
     # Haussler's cap (4e^2/delta)^v in log space (float(delta) underflows),
     # and the frontier of the level's distinct supports.
-    pierced: dict[int, tuple[int, int, int, tuple[tuple[int, PointSet], ...]]] = {}
+    pierced: dict[int, tuple[int, int, int, tuple[tuple[int, PointSet], ...], dict[int, None]]] = {}
     wsum, nums = mu.mass, mu.nums
     record, frontier = [], {mu.support().mask: None}
     points_mask = edges = max_packing = 0
@@ -274,9 +276,9 @@ def build_weak_net(
                     )
                 x0 = (inter & -inter).bit_length() - 1
                 w_min = min(nums[i] for i in range(m.bit_length()) if m >> i & 1)
-                got = pierced[m] = (w_m, w_min, x0, traces)
+                got = pierced[m] = (w_m, w_min, x0, traces, dict.fromkeys(t for t, _ in traces if t))
                 points_mask |= 1 << x0
-            w_m, w_min, x0, traces = got
+            w_m, w_min, x0, traces, kids = got
             if level == depth:
                 here.append((m, x0, None))
                 continue
@@ -294,15 +296,14 @@ def build_weak_net(
                     else:
                         kept.append((t, s))
                 chosen = tuple(kept)
+                kids = dict.fromkeys(t for t, _ in chosen if t)
             if chosen and math.log(len(chosen)) > log_cap:
                 size, cap = len(chosen), math.exp(log_cap)
                 message = f"packing of size {size} exceeds the VC bound {cap:.3g}"
                 warnings.warn(message, PackingBoundWarning)
             here.append((m, x0, chosen))
             max_packing = max(max_packing, len(chosen))
-            # m lies inside the support of mu, so a child t = m & a has mass iff t != 0.
-            kids = [t for t, _ in chosen if t]
-            below.update(dict.fromkeys(kids))
+            below.update(kids)
             edges += len(kids)
         record.append((e, tuple(here)))
         frontier, e = below, e * grow

@@ -383,40 +383,38 @@ def intersection_closure(ground: GroundSet, basis: Iterable[PointSet]) -> Convex
 class _HullCache:
     """Memoized hulls in a convexity space.
 
-    `point_rows[i]` has bit j set when convex set j contains point i, so
-    the sets containing Y are the AND of Y's rows, and the hull of Y is
-    the intersection of those sets.
+    The family must be intersection-closed with the full set in it, as in
+    every `ConvexitySpace` the package builds or validates.  Then the hull
+    of Y, the intersection of the members containing Y, is itself the
+    least member containing Y: every other one is a strict superset.
+
+    `family` lists the members by size, and `point_rows[i]` has bit j set
+    when `family[j]` contains point i.  The members containing Y are the
+    AND of Y's rows, and the member at its lowest bit is the hull.
     """
 
     def __init__(self, space: ConvexitySpace):
-        self.full = space.full.mask
-        self.family = [s.mask for s in space.sets]
+        self.family = sorted((s.mask for s in space.sets), key=int.bit_count)
         self.point_rows = [0] * space.ground.size
         for j, m in enumerate(self.family):
             while m:
                 low = m & -m
                 self.point_rows[low.bit_length() - 1] |= 1 << j
                 m ^= low
-        self.all_rows = (1 << len(self.family)) - 1
         self.memo: dict[int, int] = {0: 0}
 
     def hull(self, y: int) -> int:
         got = self.memo.get(y)
         if got is not None:
             return got
-        rows = self.all_rows
+        rows = -1
         m = y
         while m:
             low = m & -m
             rows &= self.point_rows[low.bit_length() - 1]
             m ^= low
-        acc = self.full
-        while rows:
-            low = rows & -rows
-            acc &= self.family[low.bit_length() - 1]
-            rows ^= low
-        self.memo[y] = acc
-        return acc
+        got = self.memo[y] = self.family[(rows & -rows).bit_length() - 1]
+        return got
 
 
 def halfspaces(space: ConvexitySpace) -> ConvexFamily:
@@ -432,8 +430,12 @@ def is_separable(space: ConvexitySpace) -> SeparationCheck:
 
     The counterexample, if any, is the canonically first violating pair.
     """
+    return _separation(space, halfspaces(space).masks())
+
+
+def _separation(space: ConvexitySpace, half: Sequence[int]) -> SeparationCheck:
+    """`is_separable` with the masks of the space's half-spaces given."""
     full = space.full.mask
-    half = halfspaces(space).masks()
     for c in space.sets:
         cm = c.mask
         covered = 0

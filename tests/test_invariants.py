@@ -12,9 +12,11 @@ from radonnets import (
     GroundSet,
     PointSet,
     analyze,
+    cylinder_space,
     halfspaces,
     helly_number,
     intersection_closure,
+    lattice_convex_space,
     linear_extension_space,
     power_set_space,
     radon_number,
@@ -23,7 +25,12 @@ from radonnets import (
     validate_space,
     vc_dimension,
 )
-from radonnets.invariants import _largest_downward_closed, _shattered_extensions, _trace_extensions
+from radonnets.invariants import (
+    _largest_downward_closed,
+    _largest_minimal,
+    _shattered_extensions,
+    _trace_extensions,
+)
 from radonnets.space import _HullCache
 
 from conftest import (
@@ -138,6 +145,73 @@ def test_analyze_two_chains_of_five():
         (1, 2, 4, 7, 8, 9, 10, 11, 13, 16, 17, 21, 22, 23, 24, 25, 26, 27, 28, 29),
         (18, 19, 20, 23, 29),
     ]
+
+
+# name -> (radon, its witness, helly, its witness), as masks, recorded before
+# hulls were read as the least containing member and the Helly search took
+# its candidates by column masks.
+PINNED = {
+    "lattice-3x4": (6, 0b100001100011, 4, (0b1111, 0b110111, 0b111111111011, 0b111111111100)),
+    "power-8": (9, 0b11111111, 8, tuple(0b11111111 ^ (1 << i) for i in reversed(range(8)))),
+    "tree-8v-22": (4, 0b1110, 2, (0b1111111, 0b10000000)),
+}
+
+
+def test_radon_and_helly_witnesses_as_pinned(corpus):
+    spaces = {
+        "lattice-3x4": lattice_convex_space(3, 4),
+        "power-8": power_set_space(8),
+        "tree-8v-22": dict(corpus)["tree-8v-22"],
+    }
+    for name, want in PINNED.items():
+        space = spaces[name]
+        r, r_witness = radon_number(space)
+        h, h_witness = helly_number(halfspaces(space))
+        assert (r, r_witness.mask, h, tuple(s.mask for s in h_witness)) == want, name
+
+
+def test_helly_search_calls_only_candidates_that_can_beat_the_best(monkeypatch):
+    """Every call below the root adds a candidate of its parent: a member
+    of the parent's `rest` that misses a point of the parent's
+    intersection and meets each of its private regions, taken in index
+    order.  It is made only while the members chosen plus the candidates
+    left, the child's `rest`, outnumber the best family found, and only
+    by a parent whose members chosen plus the points of its intersection
+    outnumbered the best it was given: each member still to come needs a
+    private point there.  No call ruled out by either count can improve
+    on the best."""
+    calls = []
+    stack = []
+
+    def spy(masks, col, chosen, private, inter, rest, best_size):
+        call = (chosen, private, inter, rest, best_size)
+        calls.append((stack[-1] if stack else None, call, masks))
+        stack.append(call)
+        try:
+            return _largest_minimal(masks, col, chosen, private, inter, rest, best_size)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr("radonnets.invariants._largest_minimal", spy)
+    for space in (
+        lattice_convex_space(2, 3),
+        cylinder_space(4),
+        power_set_space(4),
+        linear_extension_space(("a", "b", "c", "d")),
+    ):
+        calls.clear()
+        helly_number(halfspaces(space))
+        last: dict[int, int] = {}
+        for parent, (chosen, _, _, rest, best_size), masks in calls[1:]:
+            p_chosen, p_private, p_inter, p_rest, p_best = parent
+            assert len(p_chosen) + p_inter.bit_count() > p_best
+            j = chosen[-1]
+            assert chosen[:-1] == p_chosen and p_rest >> j & 1
+            assert p_inter & ~masks[j] and all(p & masks[j] for p in p_private)
+            assert j > last.get(id(parent), -1)
+            last[id(parent)] = j
+            assert len(chosen) + rest.bit_count() > best_size
+        assert len(calls) > 30
 
 
 def test_shattered_never_hulls_the_candidate():

@@ -246,6 +246,20 @@ def test_hull_properties():
         assert hy.indices == tuple(sorted(naive_hull(sp, frozenset(y.indices))))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_hull_is_the_naive_hull_on_intersection_closures(data):
+    """The least member containing Y is the intersection of all of them,
+    asked of one cache for several Y so that memo hits are checked too."""
+    n = data.draw(st.integers(1, 7))
+    basis = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
+    space = intersection_closure(GroundSet(tuple(str(i) for i in range(n))), [PointSet(b) for b in basis])
+    hulls = _HullCache(space)
+    for y in data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=6)):
+        want = naive_hull(space, frozenset(PointSet(y).indices))
+        assert PointSet(hulls.hull(y)).indices == tuple(sorted(want))
+
+
 # --- half-spaces and separation ----------------------------------------------------
 
 
