@@ -39,6 +39,7 @@ from .space import (
     TooLarge,
     _HullCache,
     check_eps,
+    check_ground_size,
     size_cap,
 )
 
@@ -155,6 +156,8 @@ def kneser_graph(n: int, k: int) -> KneserGraph:
         count = count * (n - j) // (j + 1)
         if count > limit:
             raise TooLarge(f"Kneser graph has more vertices than the cap of {limit}")
+    # The n-set is the graph's ground set; for k < n, C(n, k) >= n was counted above.
+    check_ground_size(n)
     subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
     return KneserGraph(n, k, subsets, _disjointness(subsets))
 

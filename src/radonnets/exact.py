@@ -7,11 +7,14 @@ real pruning to finish on the sizes the test corpus uses:
 * chromatic number: connected components, greedy clique lower bound,
   then iterative-deepening k-colorability with saturation-degree
   branching and symmetry capping on fresh colors; the coloring state is
-  bit masks passed as arguments, copied per branch;
+  bit masks, copied per branch;
 * minimum weak net: one lexicographic hitting-set search over the
   inclusion-minimal dense sets, run at each size from a disjoint-packing
   lower bound up; the first size that succeeds is the optimum, and the
   set it finds is the lexicographically least optimal net.
+
+Both searches are loops over an explicit stack, one frame per colored
+vertex or picked point, so the recursion limit does not bound them.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .space import (
     Distribution,
     PointSet,
     TooLarge,
-    check_depth,
     check_eps,
     size_cap,
 )
@@ -60,8 +62,6 @@ class Graph:
     def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         adj = [0] * vertex_count
         for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
             if not (0 <= a < vertex_count and 0 <= b < vertex_count):
                 raise ValueError(f"edge {a}-{b} is outside the vertex range")
             adj[a] |= 1 << b
@@ -118,41 +118,43 @@ def _k_colorable(adj: Sequence[int], uncolored: int, forbidden: list[int], used:
     `forbidden[v]` masks the colors of v's colored neighbors, and colors
     0..used-1 are in use.  Branches DSATUR-style on the uncolored vertex
     with the fewest free colors, lowest index on ties, and tries only one
-    fresh color, `used` (fresh colors are interchangeable).
+    fresh color, `used` (fresh colors are interchangeable).  One stack
+    frame per colored vertex holds the vertices left after it, its
+    uncolored neighbors, the state it was picked in and its untried colors.
     """
-    if not uncolored:
-        return True
     k_mask = (1 << k) - 1
-    best_v = -1
-    best_free = k + 1
-    m = uncolored
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        cnt = (k_mask & ~forbidden[v]).bit_count()
-        if cnt < best_free:
-            if cnt == 0:
-                return False
-            best_v, best_free = v, cnt
-            if cnt == 1:
-                break
-    rest = uncolored & ~(1 << best_v)
-    neighbors = adj[best_v] & rest
-    m = k_mask & ~forbidden[best_v] & ((2 << used) - 1)
-    while m:
-        low = m & -m
-        m ^= low
-        c = low.bit_length() - 1
-        nxt = forbidden.copy()
-        nb = neighbors
+    stack: list[list] = []
+    while True:
+        if not uncolored:
+            return True
+        best_v = -1
+        best_free = k + 1
+        m = uncolored
+        while m:
+            low = m & -m
+            m ^= low
+            v = low.bit_length() - 1
+            cnt = (k_mask & ~forbidden[v]).bit_count()
+            if cnt < best_free:
+                best_v, best_free = v, cnt
+                if cnt <= 1:
+                    break
+        rest = uncolored & ~(1 << best_v)
+        stack.append([rest, adj[best_v] & rest, forbidden, used, k_mask & ~forbidden[best_v] & ((2 << used) - 1)])
+        while stack and not stack[-1][4]:
+            stack.pop()
+        if not stack:
+            return False
+        frame = stack[-1]
+        uncolored, nb, forbidden, used, colors = frame
+        low = colors & -colors
+        frame[4] = colors ^ low
+        forbidden = forbidden.copy()
         while nb:
             u = nb & -nb
-            nxt[u.bit_length() - 1] |= low
+            forbidden[u.bit_length() - 1] |= low
             nb ^= u
-        if _k_colorable(adj, rest, nxt, max(used, c + 1), k):
-            return True
-    return False
+        used = max(used, low.bit_length())
 
 
 def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
@@ -162,8 +164,7 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
     component is tried at k = max(best so far, greedy clique size), with
     the clique colored 0, 1, ..., and k rises until `_k_colorable`
     succeeds.  Raises `TooLarge` when the graph has more vertices than the
-    cap (default: the package-wide size cap), or when a component leaves
-    more vertices to color than the recursion limit has room for.
+    cap (default: the package-wide size cap).
     """
     limit = size_cap() if cap is None else cap
     if graph.vertex_count > limit:
@@ -182,8 +183,6 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
             uncolored ^= 1 << v
             for u in PointSet(adj[v]).indices:
                 forbidden[u] |= 1 << i
-        # The search colors one vertex per frame.
-        check_depth(uncolored.bit_count(), "the coloring search")
         k = max(best, len(clique))
         while not _k_colorable(adj, uncolored, forbidden, len(clique), k):
             k += 1
@@ -247,38 +246,44 @@ def _packing_bound(targets: list[int], allowed: int) -> int:
     return cnt
 
 
-def _lex_least(remaining: list[int], chosen: int, start: int, size: int) -> Optional[int]:
-    """Lexicographically least hitting set of at most `size` points that
-    extends `chosen` by points >= `start`, or None.
+def _lex_least(targets: list[int], size: int) -> Optional[int]:
+    """Lexicographically least hitting set of `targets` with at most
+    `size` points, or None.
 
     Picks ascend, so the DFS meets candidates in lex order; each prune cuts
     only branches that hold no solution.  A pick comes from an unhit
     target: every point of an irredundant net is the only hit of some
-    target, so no optimum is lost.
+    target, so no optimum is lost.  One stack frame per pick holds the
+    targets unhit before it, the points picked before it and its untried
+    choices.
     """
-    if not remaining:
-        return chosen
-    allowed = -1 << start
-    pool = 0
-    cap = -1
-    for t in remaining:
-        t &= allowed
-        pool |= t
-        # Later picks are higher, so t must be hit at or below its top point.
-        # This cap keeps every unhit target's top point above the last pick,
-        # so t is never empty here.
-        cap &= (1 << t.bit_length()) - 1
-    if _packing_bound(remaining, allowed) > size - chosen.bit_count():
-        return None
-    m = pool & cap
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        m ^= low
-        got = _lex_least([t for t in remaining if not t & low], chosen | low, v + 1, size)
-        if got is not None:
-            return got
-    return None
+    remaining, chosen = targets, 0
+    stack: list[list] = []
+    while True:
+        if not remaining:
+            return chosen
+        allowed = -1 << chosen.bit_length()
+        pool = 0
+        cap = -1
+        for t in remaining:
+            t &= allowed
+            pool |= t
+            # Later picks are higher, so t must be hit at or below its top point.
+            # This cap keeps every unhit target's top point above the last pick,
+            # so t is never empty here.
+            cap &= (1 << t.bit_length()) - 1
+        if _packing_bound(remaining, allowed) <= size - chosen.bit_count():
+            stack.append([remaining, chosen, pool & cap])
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return None
+        frame = stack[-1]
+        remaining, chosen, picks = frame
+        low = picks & -picks
+        frame[2] = picks ^ low
+        remaining = [t for t in remaining if not t & low]
+        chosen |= low
 
 
 def minimal_weak_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[int, PointSet]:
@@ -287,14 +292,11 @@ def minimal_weak_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> 
     A weak net must contain a point of every convex set of measure >= eps.
     Returns the minimum size and the lexicographically least optimal net:
     the lex search runs at each size from the packing bound up, and the
-    first size it succeeds at is the optimum.  Raises `TooLarge` at a size
-    the recursion limit has no room for.
+    first size it succeeds at is the optimum.
     """
     targets = [t.mask for t in hitting_instance(space, mu, eps).targets]
     for size in range(_packing_bound(targets, -1), len(targets) + 1):
-        # The search picks one point per frame.
-        check_depth(size, "the minimum net search")
-        witness = _lex_least(targets, 0, 0, size)
+        witness = _lex_least(targets, size)
         if witness is not None:
             return size, PointSet(witness)
     raise ConsistencyError("no net of at most one point per minimal dense set hits them all")

@@ -6,7 +6,8 @@ All three are computed exactly by constrained search:
 * Helly: the largest inclusion-minimal subfamily with empty intersection.
   Such a family is one whose every member has a private point, in all
   the other members but not in it.  A DFS over index-increasing
-  subfamilies tracks the intersection and each member's private region.
+  subfamilies, kept on an explicit stack, tracks the intersection and
+  each member's private region.
   Every member still to come misses a point of the intersection and
   meets every region, so with one column mask per point (the members
   containing it) a node's candidates are a single mask, and the DFS
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .space import (
     ConsistencyError,
@@ -183,36 +184,65 @@ def helly_number(family: ConvexFamily) -> tuple[int, tuple[PointSet, ...]]:
             low = m & -m
             col[low.bit_length() - 1] |= bit
             m ^= low
-    best = _largest_minimal(masks, col, [], [], union, (1 << len(masks)) - 1, 0)
+    best = _largest_minimal(masks, col, union)
     return len(best), tuple(family.sets[j] for j in best)
 
 
-def _largest_minimal(
-    masks: Sequence[int], col: Sequence[int], chosen: list[int], private: list[int], inter: int, rest: int, best_size: int
-) -> Optional[tuple[int, ...]]:
-    """Canonically least largest family, with more than `best_size`
-    members, that is inclusion-minimal with empty intersection and
-    extends `chosen` by members in the mask `rest`; None when there is
-    none.
+def _largest_minimal(masks: Sequence[int], col: Sequence[int], union: int) -> tuple[int, ...]:
+    """Canonically least largest subfamily of `masks` that is
+    inclusion-minimal with empty intersection, as member indices; the
+    whole family has an empty intersection and the union `union`.
 
     A family is minimal with empty intersection exactly when its
     intersection is empty and each member has a private point, one in
-    every other member but not in it.  `inter` is the intersection of
-    `chosen` and `private[i]` the points in every chosen member but
-    `chosen[i]`; adding members only shrinks them.  So every member still
-    to come misses a point of `inter` (its own private point) and meets
-    every private region, and the candidates are the members of `rest`
-    outside the AND of the columns over `inter` and inside the OR of the
-    columns over each region.  A child's candidates are among the
-    parent's that follow it, so `rest` for a child is what is left of
-    the parent's candidates.
+    every other member but not in it.  A stack frame holds a DFS node
+    that may still beat the best: its chosen members, their intersection,
+    `private[i]` (the points in every chosen member but the i-th) and
+    its untried candidates.  Adding members only shrinks the regions.
     """
-    if inter == 0:
-        return tuple(chosen) if len(chosen) > best_size else None
-    size = len(chosen)
-    # The members still to come have distinct private points inside `inter`.
-    if size + inter.bit_count() <= best_size:
-        return None
+    best: tuple[int, ...] = ()
+    best_size = 0
+    stack = [[[], [], union, _candidates(col, union, [], (1 << len(masks)) - 1)]]
+    while stack:
+        frame = stack[-1]
+        chosen, private, inter, cands = frame
+        size = len(chosen)
+        # Each candidate adds at most one member: stop once those left cannot
+        # outnumber the best.
+        while cands and size + cands.bit_count() > best_size:
+            low = cands & -cands
+            cands ^= low
+            j = low.bit_length() - 1
+            m = masks[j]
+            kept = inter & m
+            if not kept:
+                if size >= best_size:
+                    best, best_size = (*chosen, j), size + 1
+            # The members still to come have distinct private points inside `kept`.
+            elif size + 1 + kept.bit_count() > best_size:
+                regions = [p & m for p in private]
+                regions.append(inter & ~m)
+                kids = _candidates(col, kept, regions, cands)
+                if kids and size + 1 + kids.bit_count() > best_size:
+                    frame[3] = cands
+                    stack.append([chosen + [j], regions, kept, kids])
+                    break
+        else:
+            stack.pop()
+    return best
+
+
+def _candidates(col: Sequence[int], inter: int, private: list[int], rest: int) -> int:
+    """The members of the mask `rest` that may extend a node with
+    intersection `inter` and private regions `private`.
+
+    Every member still to come misses a point of `inter` (its own private
+    point) and meets every private region, so the candidates are the
+    members of `rest` outside the AND of the columns over `inter` and
+    inside the OR of the columns over each region.  A child's candidates
+    are among the parent's that follow it, so `rest` for a child is what
+    is left of the parent's candidates.
+    """
     # Each loop stops once no candidate is left for its remaining points to decide.
     within = rest
     x = inter
@@ -228,20 +258,7 @@ def _largest_minimal(
             meet |= col[low.bit_length() - 1]
             p ^= low
         cands &= meet
-    best = None
-    # Each candidate adds at most one member: stop once those left cannot
-    # outnumber the best.
-    while cands and size + cands.bit_count() > best_size:
-        low = cands & -cands
-        cands ^= low
-        j = low.bit_length() - 1
-        m = masks[j]
-        kept = [p & m for p in private]
-        kept.append(inter & ~m)
-        got = _largest_minimal(masks, col, chosen + [j], kept, inter & m, cands, best_size)
-        if got is not None:
-            best, best_size = got, len(got)
-    return best
+    return cands
 
 
 def vc_dimension(family: ConvexFamily, ground_size: int) -> tuple[int, PointSet]:

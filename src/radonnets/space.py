@@ -69,7 +69,8 @@ def check_ground_size(count: int) -> None:
 
 def check_depth(depth: int, what: str) -> None:
     """Raise `TooLarge` if `what` needs more than the recursion limit less
-    50 levels: a recursive search `depth` deep would overflow the stack."""
+    50 levels.  Its one caller is the net build's level ceiling: the
+    exact searches are loops and need no room."""
     room = sys.getrecursionlimit() - 50
     if depth > room:
         raise TooLarge(f"{what} needs {depth} recursion levels; the recursion limit allows {max(room, 0)}")

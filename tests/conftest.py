@@ -9,6 +9,7 @@ implementations have something independent to disagree with.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -108,6 +109,18 @@ def corpus() -> list[tuple[str, ConvexitySpace]]:
 def small_corpus(corpus) -> list[tuple[str, ConvexitySpace]]:
     """Members small enough for the fully naive oracles."""
     return [(name, sp) for name, sp in corpus if sp.ground.size <= 6 and len(sp.convex) <= 70]
+
+
+@pytest.fixture()
+def recursion_limit_200(monkeypatch):
+    """A recursion limit of 200 and a size cap of 400, so a search that
+    recursed once per vertex, point or member would overflow on the
+    inputs the cap admits."""
+    monkeypatch.setenv("RADON_NETS_CAP", "400")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 # --- naive oracles -------------------------------------------------------------

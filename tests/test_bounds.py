@@ -155,6 +155,18 @@ def test_kneser_graph_cap(monkeypatch):
         kneser_graph(10, 7)
 
 
+def test_kneser_graph_cap_bounds_the_ground_set(monkeypatch):
+    """KG_{n,n} has one vertex; its n-set is refused by the ground cap
+    before the vertex is built, and admitted within it."""
+    with pytest.raises(TooLarge, match="ground set has 10000000 points, cap is 64"):
+        kneser_graph(10**7, 10**7)
+    assert kneser_graph(64, 64).subsets == (PointSet((1 << 64) - 1),)
+    monkeypatch.setenv("RADON_NETS_CAP", "200")
+    with pytest.raises(TooLarge, match="more vertices than the cap of 200"):
+        kneser_graph(201, 200)
+    assert len(kneser_graph(200, 200).subsets) == 1
+
+
 def test_kneser_quarter_check(monkeypatch):
     assert kneser_quarter_check(4)
     monkeypatch.setenv("RADON_NETS_CAP", "70")

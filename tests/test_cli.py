@@ -372,14 +372,25 @@ def test_kneser_graph_too_large_exits_2_at_once(capsys):
     assert "more vertices than the cap of 64" in err
 
 
-def test_kneser_exact_past_the_recursion_room_exits_2(monkeypatch, capsys):
+def test_kneser_exact_past_the_recursion_limit_reports_chi(monkeypatch, capsys):
     """KG_{13,6} leaves 1,714 vertices to color after its clique, more
-    levels than the recursion limit has room for: refused, not overflowed."""
+    than the recursion limit has levels: the search is a loop, so it
+    reports the closed form."""
     monkeypatch.setenv("RADON_NETS_CAP", "2000")
     code, out, err = run_cli(capsys, "kneser", "--n", "13", "--k", "6", "--exact")
+    assert code == 0, err
+    result = json.loads(out)["result"]
+    assert result["exact_chromatic"] == result["formula_chromatic"] == 3
+
+
+def test_kneser_graph_on_a_huge_ground_set_exits_2_at_once(capsys):
+    """KG_{n,n} has one vertex, so its count passes the cap; the n-set
+    is its ground set, and the ground cap refuses it before any subset
+    is built."""
+    code, out, err = run_cli(capsys, "kneser", "--n", "10000000", "--k", "10000000")
     assert code == 2
     assert out == ""
-    assert "the coloring search needs 1714 recursion levels" in err
+    assert "ground set has 10000000 points, cap is 64" in err
 
 
 def test_kneser_argument_errors(capsys):

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -119,27 +118,26 @@ def test_chromatic_cap():
     assert exact_chromatic_number(g, cap=70) == 1
 
 
-@pytest.fixture()
-def recursion_limit_200(monkeypatch):
-    """A recursion limit of 200, so 150 levels of room, and a size cap of 400."""
-    monkeypatch.setenv("RADON_NETS_CAP", "400")
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(200)
-    yield
-    sys.setrecursionlimit(limit)
+def path_graph(n):
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def test_coloring_refuses_past_the_recursion_room(recursion_limit_200):
-    """The search colors one vertex per frame, so a component with more
-    vertices left after its clique than the room raises `TooLarge` instead
-    of overflowing the stack."""
+def test_coloring_answers_past_the_recursion_limit(recursion_limit_200):
+    """The search keeps its frames on a list, one per colored vertex, so
+    298 vertices left after the clique need no recursion room."""
+    assert exact_chromatic_number(path_graph(300)) == 2
+    assert exact_chromatic_number(path_graph(100)) == 2
 
-    def path(n):
-        return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
-    with pytest.raises(TooLarge, match="coloring search needs 298 recursion levels; the recursion limit allows 150"):
-        exact_chromatic_number(path(300))
-    assert exact_chromatic_number(path(100)) == 2
+def test_coloring_answers_under_a_deep_caller(monkeypatch):
+    """949 vertices left to color, called 60 frames down: the depth of
+    the caller's stack does not decide the answer either."""
+    monkeypatch.setenv("RADON_NETS_CAP", "2000")
+
+    def nested(depth):
+        return exact_chromatic_number(path_graph(951)) if depth == 0 else nested(depth - 1)
+
+    assert nested(60) == 2
 
 
 # --- dense sets and hitting instances ----------------------------------------------
@@ -233,19 +231,18 @@ def test_minimum_net_refutes_sizes_above_the_packing_bound():
     assert minimal_weak_net(sp, mu, eps) == (4, PointSet.from_indices([0, 1, 2, 3]))
 
 
-def test_minimum_net_refuses_past_the_recursion_room(recursion_limit_200):
-    """The search picks one point per frame, so a size above the room
-    raises `TooLarge` instead of overflowing the stack.  Every singleton
-    is a minimal dense set here, so the packing bound is the point count."""
+def test_minimum_net_answers_past_the_recursion_limit(recursion_limit_200):
+    """The search keeps its frames on a list, one per picked point, so a
+    net of 300 points needs no recursion room.  Every singleton is a
+    minimal dense set here, so the packing bound is the point count."""
 
     def singletons(n):
         ground = GroundSet(tuple(f"p{i}" for i in range(n)))
         return validate_space(ground, [PointSet(0), ground.full] + [PointSet(1 << i) for i in range(n)])
 
-    with pytest.raises(TooLarge, match="minimum net search needs 300 recursion levels"):
-        minimal_weak_net(singletons(300), Distribution.uniform(300), Fraction(1, 300))
-    small = singletons(60)
-    assert minimal_weak_net(small, Distribution.uniform(60), Fraction(1, 60)) == (60, small.full)
+    for n in (300, 60):
+        space = singletons(n)
+        assert minimal_weak_net(space, Distribution.uniform(n), Fraction(1, n)) == (n, space.full)
 
 
 def test_minimum_net_matches_naive():

@@ -1,4 +1,5 @@
 import random
+import sys
 from functools import partial
 from itertools import combinations
 
@@ -171,47 +172,67 @@ def test_radon_and_helly_witnesses_as_pinned(corpus):
 
 
 def test_helly_search_calls_only_candidates_that_can_beat_the_best(monkeypatch):
-    """Every call below the root adds a candidate of its parent: a member
-    of the parent's `rest` that misses a point of the parent's
-    intersection and meets each of its private regions, taken in index
-    order.  It is made only while the members chosen plus the candidates
-    left, the child's `rest`, outnumber the best family found, and only
-    by a parent whose members chosen plus the points of its intersection
-    outnumbered the best it was given: each member still to come needs a
-    private point there.  No call ruled out by either count can improve
-    on the best."""
-    calls = []
-    stack = []
+    """Every node the search expands below the root adds a candidate of
+    its parent: a member of the parent's `rest` that misses a point of the
+    parent's intersection and meets each of its private regions, taken in
+    index order.  It is expanded only while the members chosen plus the
+    candidates left outnumber the best family found, and only from a
+    parent whose members chosen plus the points of its intersection
+    outnumbered the best when it was reached: each member still to come
+    needs a private point there.  No node ruled out by either count can
+    improve on the best.
 
-    def spy(masks, col, chosen, private, inter, rest, best_size):
-        call = (chosen, private, inter, rest, best_size)
-        calls.append((stack[-1] if stack else None, call, masks))
-        stack.append(call)
-        try:
-            return _largest_minimal(masks, col, chosen, private, inter, rest, best_size)
-        finally:
-            stack.pop()
+    The search reads a member's mask exactly when it expands that member,
+    so a family whose reads record the search's state sees every node."""
+    expanded = []
 
-    monkeypatch.setattr("radonnets.invariants._largest_minimal", spy)
+    class Reads(list):
+        def __getitem__(self, j):
+            state = sys._getframe(1).f_locals
+            # The search has already taken j out of the parent's candidates.
+            cands = state["cands"] | 1 << j
+            expanded.append((tuple(state["chosen"]), state["private"], state["inter"], cands, j, state["best_size"]))
+            return super().__getitem__(j)
+
+    search = _largest_minimal
+    monkeypatch.setattr(
+        "radonnets.invariants._largest_minimal", lambda masks, col, union: search(Reads(masks), col, union)
+    )
     for space in (
         lattice_convex_space(2, 3),
         cylinder_space(4),
         power_set_space(4),
         linear_extension_space(("a", "b", "c", "d")),
     ):
-        calls.clear()
-        helly_number(halfspaces(space))
-        last: dict[int, int] = {}
-        for parent, (chosen, _, _, rest, best_size), masks in calls[1:]:
-            p_chosen, p_private, p_inter, p_rest, p_best = parent
-            assert len(p_chosen) + p_inter.bit_count() > p_best
-            j = chosen[-1]
-            assert chosen[:-1] == p_chosen and p_rest >> j & 1
-            assert p_inter & ~masks[j] and all(p & masks[j] for p in p_private)
-            assert j > last.get(id(parent), -1)
-            last[id(parent)] = j
-            assert len(chosen) + rest.bit_count() > best_size
-        assert len(calls) > 30
+        expanded.clear()
+        family = halfspaces(space)
+        assert helly_number(family) == reference_helly(family, space.ground.size)
+        masks = family.masks()
+        rest_of = {(): (1 << len(masks)) - 1}
+        reached_at: dict[tuple[int, ...], int] = {}
+        for chosen, private, inter, cands, j, best_size in expanded:
+            # A node's first expansion comes before any other node's, so the
+            # best it was reached at is the one its first expansion sees.
+            reached_best = reached_at.setdefault(chosen, best_size)
+            assert len(chosen) + inter.bit_count() > reached_best
+            assert rest_of[chosen] >> j & 1
+            assert inter & ~masks[j] and all(p & masks[j] for p in private)
+            # Candidates are taken lowest first, each once.
+            assert cands & -cands == 1 << j
+            assert len(chosen) + cands.bit_count() > best_size
+            rest_of[chosen + (j,)] = cands ^ (1 << j)
+        assert len(expanded) > 30
+
+
+def test_helly_search_answers_past_the_recursion_limit(recursion_limit_200):
+    """The 300 co-singletons of 300 points form the one minimal family
+    with empty intersection; the search keeps one frame per chosen
+    member on a list, so 300 members need no recursion room."""
+    full = (1 << 300) - 1
+    family = ConvexFamily.from_masks(full ^ (1 << i) for i in range(300))
+    h, witness = helly_number(family)
+    assert h == 300
+    assert set(witness) == set(family.sets)
 
 
 def test_shattered_never_hulls_the_candidate():
