@@ -51,6 +51,7 @@ from .space import (
     ConvexitySpace,
     PointSet,
     _HullCache,
+    _point_columns,
     _separation,
     halfspaces,
 )
@@ -176,15 +177,7 @@ def helly_number(family: ConvexFamily) -> tuple[int, tuple[PointSet, ...]]:
         return 1, ()
     if union == 0:
         return 1, family.sets  # just the empty set
-    # col[x]: the members that contain point x, one bit per member.
-    col = [0] * union.bit_length()
-    for j, m in enumerate(masks):
-        bit = 1 << j
-        while m:
-            low = m & -m
-            col[low.bit_length() - 1] |= bit
-            m ^= low
-    best = _largest_minimal(masks, col, union)
+    best = _largest_minimal(masks, _point_columns(masks, union.bit_length()), union)
     return len(best), tuple(family.sets[j] for j in best)
 
 

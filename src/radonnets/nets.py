@@ -50,9 +50,13 @@ from .space import (
     ConvexitySpace,
     Distribution,
     PointSet,
-    check_depth,
+    TooLarge,
     check_eps,
 )
+
+# The most levels a build runs (eps down to about 1/10^92 at h = 2): nothing
+# else bounds levels times the digits of each level's threshold.
+_LEVEL_CEILING = 950
 
 
 class EmptyIntersection(ConsistencyError):
@@ -107,6 +111,8 @@ def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
     if vc < 0:
         raise ValueError("the VC dimension is non-negative")
     depth = amplification_depth(eps, helly)
+    if depth > _LEVEL_CEILING:
+        raise TooLarge(f"eps needs {depth} levels; the net build allows {_LEVEL_CEILING}")
     return NetParams(
         eps=eps,
         helly=helly,
@@ -236,8 +242,6 @@ def build_weak_net(
 
     params = _net_params(eps, h, v)
     eps, depth = params.eps, params.depth
-    # Nothing else bounds depth times the digits of each level's eps.
-    check_depth(depth, "eps")
     # Only delta depends on the level, so the rest is computed once per build.
     # Per support m: its mass, lightest point weight and piercing point, its
     # distinct traces t = b & m, each with the first half-space in canonical

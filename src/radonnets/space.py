@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -65,15 +64,6 @@ def check_ground_size(count: int) -> None:
     cap = size_cap()
     if count > cap:
         raise TooLarge(f"ground set has {count} points, cap is {cap}")
-
-
-def check_depth(depth: int, what: str) -> None:
-    """Raise `TooLarge` if `what` needs more than the recursion limit less
-    50 levels.  Its one caller is the net build's level ceiling: the
-    exact searches are loops and need no room."""
-    room = sys.getrecursionlimit() - 50
-    if depth > room:
-        raise TooLarge(f"{what} needs {depth} recursion levels; the recursion limit allows {max(room, 0)}")
 
 
 def check_eps(eps: Fraction) -> Fraction:
@@ -381,6 +371,18 @@ def intersection_closure(ground: GroundSet, basis: Iterable[PointSet]) -> Convex
     return ConvexitySpace(ground, ConvexFamily.from_masks(closed))
 
 
+def _point_columns(masks: Sequence[int], n: int) -> list[int]:
+    """Per point i < n, the mask with bit j set when `masks[j]` contains i."""
+    cols = [0] * n
+    for j, m in enumerate(masks):
+        bit = 1 << j
+        while m:
+            low = m & -m
+            cols[low.bit_length() - 1] |= bit
+            m ^= low
+    return cols
+
+
 class _HullCache:
     """Memoized hulls in a convexity space.
 
@@ -396,12 +398,7 @@ class _HullCache:
 
     def __init__(self, space: ConvexitySpace):
         self.family = sorted((s.mask for s in space.sets), key=int.bit_count)
-        self.point_rows = [0] * space.ground.size
-        for j, m in enumerate(self.family):
-            while m:
-                low = m & -m
-                self.point_rows[low.bit_length() - 1] |= 1 << j
-                m ^= low
+        self.point_rows = _point_columns(self.family, space.ground.size)
         self.memo: dict[int, int] = {0: 0}
 
     def hull(self, y: int) -> int:

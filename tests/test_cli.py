@@ -246,25 +246,23 @@ def test_net_tiny_eps_reports_null_size_bound(path3_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("digits", [120, 300, 400])
-def test_net_too_deep_for_the_recursion_limit_exits_2(digits, path3_file, tmp_path, capsys):
+def test_net_past_the_level_ceiling_exits_2(digits, path3_file, tmp_path, capsys):
+    """An eps that needs more levels than the net build's fixed ceiling of
+    950 is refused before any level is built."""
     dist = write_uniform(tmp_path, 3)
     code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**digits}")
     assert code == 2
     assert out == ""
-    assert "recursion levels" in err
+    assert "levels; the net build allows 950" in err
 
 
 @pytest.mark.parametrize("digits", [300, 400])
-def test_net_tiny_delta_keeps_the_packing_cap_in_log_space(digits, path3_file, tmp_path, capsys):
-    """With room for the recursion, a delta whose float overflows the
+def test_net_tiny_delta_keeps_the_packing_cap_in_log_space(digits, path3_file, tmp_path, capsys, monkeypatch):
+    """Under a raised level ceiling, a delta whose float overflows the
     Haussler cap (1/10^300) or underflows to 0 (1/10^400) still builds."""
     dist = write_uniform(tmp_path, 3)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 5000)
-    try:
-        code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**digits}", "--verify")
-    finally:
-        sys.setrecursionlimit(limit)
+    monkeypatch.setattr("radonnets.nets._LEVEL_CEILING", 5000)
+    code, out, err = run_cli(capsys, "net", path3_file, dist, "--eps", f"1/{10**digits}", "--verify")
     assert code == 0, err
     result = strict_json(out)["result"]
     assert result["depth"] > 3000

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radonnets import (
@@ -25,7 +25,14 @@ from radonnets import (
 )
 from radonnets.exact import _packing_bound
 
-from conftest import fraction_measure, naive_chromatic, naive_min_net, seeded_distribution
+from conftest import (
+    disjointness_graph,
+    fraction_measure,
+    naive_chromatic,
+    naive_dense_sets,
+    naive_min_net,
+    seeded_distribution,
+)
 
 PETERSEN = [
     (0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -292,3 +299,39 @@ def hitting_inputs(draw):
 def test_minimal_weak_net_matches_naive_on_random_closures(case):
     space, mu, eps = case
     assert minimal_weak_net(space, mu, eps) == naive_min_net(space, mu, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hitting_inputs())
+def test_hitting_targets_are_the_minimal_dense_sets_on_random_closures(case):
+    space, mu, eps = case
+    dense = naive_dense_sets(space, mu, eps)
+    minimal = [s for s in dense if not any(t != s and t.issubset(s) for t in dense)]
+    targets = hitting_instance(space, mu, eps).targets
+    assert list(targets) == minimal
+    assert sorted(targets, key=lambda s: s.sort_key) == minimal
+
+
+@settings(max_examples=150, deadline=None)
+@given(hitting_inputs())
+def test_chromatic_certificate_matches_the_unreduced_graph_on_random_closures(case):
+    """Reducing to the minimal dense sets keeps chi, and chi bounds every
+    weak net from below, separable space or not."""
+    space, mu, eps = case
+    full = disjointness_graph(space, mu, eps).graph
+    assume(full.vertex_count <= 40)
+    bound = chromatic_lower_bound(space, mu, eps, cap=1024).bound
+    assert bound == exact_chromatic_number(full)
+    assert bound <= minimal_weak_net(space, mu, eps)[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(hitting_inputs(), st.integers(0, (1 << 7) - 1))
+def test_verify_weak_net_matches_naive_on_random_closures(case, mask):
+    """The counterexample is the missed dense set of largest measure,
+    canonically least on ties."""
+    space, mu, eps = case
+    points = PointSet(mask & space.full.mask)
+    missed = [s for s in naive_dense_sets(space, mu, eps) if s.isdisjoint(points)]
+    worst = min(missed, key=lambda s: (-fraction_measure(mu, s), s.sort_key), default=None)
+    assert verify_weak_net(space, mu, eps, points) == (worst is None, worst)

@@ -17,6 +17,7 @@ from radonnets import (
     GroundSet,
     PackingBoundWarning,
     PointSet,
+    TooLarge,
     amplification_depth,
     build_weak_net,
     cylinder_space,
@@ -424,17 +425,13 @@ def test_trace_is_built_on_first_read(monkeypatch):
     assert net.trace is trace and len(made) == net.nodes
 
 
-def test_deep_trace_is_read_and_compared_without_recursion():
-    """A net of more than 3,000 levels needs a raised recursion limit to
-    build, but reading and comparing its trace do not."""
+def test_deep_trace_is_read_and_compared_without_recursion(monkeypatch):
+    """A net of more than 3,000 levels needs a raised level ceiling to
+    build, and reading and comparing its trace need no recursion room."""
     path = subtree_space([("a", "b"), ("b", "c")])
     b, mu, eps = halfspaces(path), Distribution.uniform(3), Fraction(1, 10**400)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(limit + 5000)
-    try:
-        one, two = (build_weak_net(path, b, mu, eps) for _ in range(2))
-    finally:
-        sys.setrecursionlimit(limit)
+    monkeypatch.setattr("radonnets.nets._LEVEL_CEILING", 5000)
+    one, two = (build_weak_net(path, b, mu, eps) for _ in range(2))
     assert one.params.depth > 3000 and one.nodes > one.params.depth
     assert one.trace is not two.trace
     assert same_trace(one.trace, two.trace) and one == two
@@ -444,14 +441,32 @@ def _called_under(frames, build):
     return build() if frames == 0 else _called_under(frames - 1, build)
 
 
-def test_depth_ceiling_ignores_the_callers_stack():
-    """The depth ceiling is the recursion limit less 50, so a build that
-    fits returns the same net however deep its caller's stack is."""
+def _outcome(build):
+    try:
+        return build()
+    except TooLarge as err:
+        return str(err)
+
+
+def test_net_build_ignores_the_recursion_limit():
+    """The level ceiling is a fixed 950, so the same call builds the same
+    net, or raises the same `TooLarge`, whatever the recursion limit and
+    however deep its caller's stack."""
     path = subtree_space([("a", "b"), ("b", "c")])
-    b, mu, eps = halfspaces(path), Distribution.uniform(3), Fraction(1, 10**88)
-    top = build_weak_net(path, b, mu, eps)
-    assert top.params.depth == 905
-    assert _called_under(60, lambda: build_weak_net(path, b, mu, eps)) == top
+    b, mu = halfspaces(path), Distribution.uniform(3)
+    builds = [lambda eps=eps: build_weak_net(path, b, mu, eps) for eps in (Fraction(1, 10**50), Fraction(1, 10**100))]
+    fits, deep = outcomes = [_outcome(build) for build in builds]
+    assert fits.params.depth == 513
+    assert deep == "eps needs 1029 levels; the net build allows 950"
+    limit = sys.getrecursionlimit()
+    try:
+        for room in (200, 1000, 10000):
+            sys.setrecursionlimit(room)
+            for build, want in zip(builds, outcomes):
+                assert _outcome(build) == want, room
+                assert _called_under(60, lambda: _outcome(build)) == want, room
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_trace_repr_leaves_out_the_children():

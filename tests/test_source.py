@@ -99,25 +99,25 @@ def test_library_has_no_recursive_closures():
 
 def test_one_home_for_the_size_ceiling_and_the_eps_rule():
     """One `TooLarge`, in `space.py`, for every size ceiling, and the eps
-    range check and the recursion room written out only there, in
-    `check_eps` and `check_depth`; `check_depth` guards only the net
-    build's level ceiling."""
-    ceilings, eps_rule, room, depth_calls = [], [], [], []
+    range check written out only there, in `check_eps`.  No library file
+    reads the interpreter's recursion limit or names `check_depth`: the
+    net build's level ceiling is a constant written only in `nets.py`."""
+    ceilings, eps_rule, limit_reads, level_ceiling = [], [], [], []
     for path in SOURCES:
         text = path.read_text()
         for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, ast.ClassDef) and node.name.endswith("TooLarge"):
                 ceilings.append(f"{path.name}:{node.name}")
-            elif isinstance(node, ast.Call) and ast.unparse(node.func) == "check_depth":
-                depth_calls.append(path.name)
         if "0 < eps <= 1" in text:
             eps_rule.append(path.name)
-        if "getrecursionlimit" in text:
-            room.append(path.name)
+        if "getrecursionlimit" in text or "check_depth" in text:
+            limit_reads.append(path.name)
+        if "_LEVEL_CEILING" in text:
+            level_ceiling.append(path.name)
     assert ceilings == ["space.py:TooLarge"]
     assert eps_rule == ["space.py"]
-    assert room == ["space.py"]
-    assert depth_calls == ["nets.py"]
+    assert limit_reads == []
+    assert level_ceiling == ["nets.py"]
 
 
 def test_cli_reports_from_main_only():
