@@ -52,7 +52,6 @@ from .nets import (
 from .bounds import (
     DisjointnessGraph,
     KleitmanCheck,
-    KneserGraph,
     LowerBoundCertificate,
     NotIntersecting,
     chromatic_lower_bound,

@@ -74,15 +74,18 @@ class LowerBoundCertificate:
     graph: Optional[DisjointnessGraph] = None
 
 
-def _disjointness(sets: Sequence[PointSet]) -> Graph:
-    """Graph on `sets` with an edge between every two disjoint members."""
-    edges = [
-        (i, j)
-        for i, a in enumerate(sets)
-        for j, b in enumerate(sets[i + 1:], start=i + 1)
-        if a.isdisjoint(b)
-    ]
-    return Graph.from_edges(len(sets), edges)
+def _disjointness(sets: Sequence[PointSet]) -> DisjointnessGraph:
+    """Disjointness graph on `sets`: row i has bit j when sets i and j are
+    disjoint and j != i, so an empty set gets no self-loop."""
+    masks = [s.mask for s in sets]
+    rows = []
+    for i, a in enumerate(masks):
+        row = 0
+        for j, b in enumerate(masks):
+            if not a & b:
+                row |= 1 << j
+        rows.append(row & ~(1 << i))
+    return DisjointnessGraph(tuple(sets), Graph(len(sets), tuple(rows)))
 
 
 def chromatic_lower_bound(
@@ -103,15 +106,9 @@ def chromatic_lower_bound(
     limit = size_cap() if cap is None else cap
     if len(sets) > limit:
         raise TooLarge(f"{len(sets)} minimal dense sets, exact cap is {limit}")
-    graph = _disjointness(sets)
-    chi = exact_chromatic_number(graph, cap=limit)
-    return LowerBoundCertificate(
-        mu=mu,
-        eps=eps,
-        bound=chi,
-        method="exact-chromatic",
-        graph=DisjointnessGraph(sets, graph),
-    )
+    dg = _disjointness(sets)
+    chi = exact_chromatic_number(dg.graph, cap=limit)
+    return LowerBoundCertificate(mu=mu, eps=eps, bound=chi, method="exact-chromatic", graph=dg)
 
 
 def radon_lower_bound(space: ConvexitySpace, eps: Fraction) -> LowerBoundCertificate:
@@ -134,18 +131,9 @@ def radon_lower_bound(space: ConvexitySpace, eps: Fraction) -> LowerBoundCertifi
     return LowerBoundCertificate(mu=mu, eps=eps, bound=bound, method=method, support=witness)
 
 
-@dataclass(frozen=True, slots=True)
-class KneserGraph:
-    """KG_{n,k}: vertices are the k-subsets of an n-set, edges disjointness."""
-
-    n: int
-    k: int
-    subsets: tuple[PointSet, ...]
-    graph: Graph
-
-
-def kneser_graph(n: int, k: int) -> KneserGraph:
-    """KG_{n,k}; raises `TooLarge` above the package size cap."""
+def kneser_graph(n: int, k: int) -> DisjointnessGraph:
+    """KG_{n,k}: the disjointness graph of the k-subsets of an n-set, in
+    `combinations` order; raises `TooLarge` above the package size cap."""
     if n < 1 or k < 1 or k > n:
         raise ValueError("Kneser graph needs 1 <= k <= n")
     limit = size_cap()
@@ -158,8 +146,7 @@ def kneser_graph(n: int, k: int) -> KneserGraph:
             raise TooLarge(f"Kneser graph has more vertices than the cap of {limit}")
     # The n-set is the graph's ground set; for k < n, C(n, k) >= n was counted above.
     check_ground_size(n)
-    subsets = tuple(PointSet.from_indices(c) for c in combinations(range(n), k))
-    return KneserGraph(n, k, subsets, _disjointness(subsets))
+    return _disjointness([PointSet.from_indices(c) for c in combinations(range(n), k)])
 
 
 def kneser_chromatic_number(n: int, k: int) -> int:

@@ -56,7 +56,7 @@ from .space import (
 
 
 def _eps_arg(text: str) -> Fraction:
-    m = _FRACTION_RE.match(text)
+    m = _FRACTION_RE.fullmatch(text)
     if not m:
         raise argparse.ArgumentTypeError(f"eps must be an exact fraction 'p/q', got {text!r}")
     try:
@@ -89,21 +89,25 @@ def _read_dist(path: str, space: ConvexitySpace) -> tuple[dict, Distribution]:
     return _digest(Path(path), text), mu
 
 
-def _flatten(prefix: str, value, out: list[str]) -> None:
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    elif isinstance(value, list):
-        out.append(f"{prefix}: {json.dumps(value)}")
-    else:
-        out.append(f"{prefix}: {value}")
+def _flatten(report: dict) -> list[str]:
+    """One `key.subkey: value` line per leaf, depth first in key order."""
+    lines = []
+    stack = [("", report)]
+    while stack:
+        prefix, value = stack.pop()
+        if isinstance(value, dict):
+            items = [(f"{prefix}.{k}" if prefix else str(k), v) for k, v in value.items()]
+            stack.extend(reversed(items))
+        elif isinstance(value, list):
+            lines.append(f"{prefix}: {json.dumps(value)}")
+        else:
+            lines.append(f"{prefix}: {value}")
+    return lines
 
 
 def _emit(report: dict, human: bool) -> None:
     if human:
-        lines: list[str] = []
-        _flatten("", report, lines)
-        print("\n".join(lines))
+        print("\n".join(_flatten(report)))
     else:
         print(json.dumps(report, indent=2, allow_nan=False))
 
@@ -245,7 +249,7 @@ def _cmd_kneser(args: argparse.Namespace) -> tuple[dict, dict]:
     result: dict = {
         "n": n,
         "k": k,
-        "vertices": len(kg.subsets),
+        "vertices": len(kg.sets),
         "edges": len(kg.graph.edges()),
         "formula_chromatic": kneser_chromatic_number(n, k),
     }

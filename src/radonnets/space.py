@@ -476,7 +476,7 @@ def masked_sum(tables: list[list[int]], mask: int) -> int:
 
 # --- file formats -------------------------------------------------------------
 
-_FRACTION_RE = re.compile(r"^(\d+)/([1-9]\d*)$")
+_FRACTION_RE = re.compile(r"(\d+)/([1-9]\d*)", re.ASCII)
 
 
 def format_space_file(name: str, space: ConvexitySpace) -> str:
@@ -537,7 +537,7 @@ def parse_distribution_file(text: str) -> Distribution:
         raise ValueError("distribution file needs a 'weights' array")
     weights = []
     for w in doc["weights"]:
-        if not isinstance(w, str) or not (m := _FRACTION_RE.match(w)):
+        if not isinstance(w, str) or not (m := _FRACTION_RE.fullmatch(w)):
             raise ValueError(f"weight {w!r} is not of the form 'p/q'")
         weights.append(Fraction(int(m.group(1)), int(m.group(2))))
     return Distribution(tuple(weights))

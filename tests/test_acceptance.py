@@ -281,7 +281,7 @@ def test_criterion_9_kneser_embedding():
     vertex = {s.mask: i for i, s in enumerate(g.sets)}
     pairs = kneser_embedding(sp, witness, Fraction(1, 4))
     kg = kneser_graph(4, 1)
-    ok = len(pairs) == len(kg.subsets) == 4
+    ok = len(pairs) == len(kg.sets) == 4
     iso = {}
     for z, hull in pairs:
         ok = ok and hull.mask in vertex

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from radonnets import (
     ConsistencyError,
     Distribution,
+    Graph,
     NotIntersecting,
     PointSet,
     TooLarge,
@@ -122,9 +124,9 @@ def test_radon_certificate_is_sound():
 
 def test_petersen_is_kneser_5_2():
     kg = kneser_graph(5, 2)
-    assert len(kg.subsets) == 10
+    assert len(kg.sets) == 10
     assert len(kg.graph.edges()) == 15
-    assert all(len(s) == 2 for s in kg.subsets)
+    assert all(len(s) == 2 for s in kg.sets)
     assert exact_chromatic_number(kg.graph) == 3
     assert kneser_chromatic_number(5, 2) == 3
 
@@ -140,12 +142,22 @@ def test_kneser_chromatic_formula_small():
         kneser_graph(3, 4)
 
 
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)])
+def test_kneser_graph_joins_exactly_the_disjoint_subsets(n, k, monkeypatch):
+    monkeypatch.setenv("RADON_NETS_CAP", "70")  # C(8, 4)
+    kg = kneser_graph(n, k)
+    subsets = [set(c) for c in combinations(range(n), k)]
+    assert [set(s.indices) for s in kg.sets] == subsets
+    pairs = [(i, j) for i, j in combinations(range(len(subsets)), 2) if not subsets[i] & subsets[j]]
+    assert kg.graph == Graph.from_edges(len(subsets), pairs)
+
+
 def test_kneser_graph_cap(monkeypatch):
     with pytest.raises(TooLarge):
         kneser_graph(10, 3)
     monkeypatch.setenv("RADON_NETS_CAP", "120")
     kg = kneser_graph(10, 3)
-    assert len(kg.subsets) == 120
+    assert len(kg.sets) == 120
     # The cap check counts C(n, k) only until it passes the cap, so a
     # binomial with hundreds of thousands of digits is refused at once.
     with pytest.raises(TooLarge, match="more vertices than the cap of 120"):
@@ -160,11 +172,11 @@ def test_kneser_graph_cap_bounds_the_ground_set(monkeypatch):
     before the vertex is built, and admitted within it."""
     with pytest.raises(TooLarge, match="ground set has 10000000 points, cap is 64"):
         kneser_graph(10**7, 10**7)
-    assert kneser_graph(64, 64).subsets == (PointSet((1 << 64) - 1),)
+    assert kneser_graph(64, 64).sets == (PointSet((1 << 64) - 1),)
     monkeypatch.setenv("RADON_NETS_CAP", "200")
     with pytest.raises(TooLarge, match="more vertices than the cap of 200"):
         kneser_graph(201, 200)
-    assert len(kneser_graph(200, 200).subsets) == 1
+    assert len(kneser_graph(200, 200).sets) == 1
 
 
 def test_kneser_quarter_check(monkeypatch):

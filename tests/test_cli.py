@@ -201,6 +201,23 @@ def test_net_rejects_decimal_eps(path3_file, tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["1/2\n", "\u0661/2", "1/2\u0660"])
+def test_fractions_are_whole_ascii_strings(text, path3_file, tmp_path, capsys):
+    """A 'p/q' string is ASCII digits from end to end: a trailing newline
+    or a non-ASCII digit is refused in `--eps` and in a weight alike."""
+    dist = write_uniform(tmp_path, 3)
+    with pytest.raises(SystemExit) as exc:
+        main(["net", path3_file, dist, "--eps", text])
+    assert exc.value.code == 2
+    assert "eps must be an exact fraction" in capsys.readouterr().err
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"weights": [text, "1/4", "1/4"]}))
+    code, out, err = run_cli(capsys, "net", path3_file, str(weights), "--eps", "1/2")
+    assert code == 2
+    assert out == ""
+    assert "is not of the form 'p/q'" in err
+
+
 def test_net_rejects_size_mismatch(path3_file, tmp_path, capsys):
     dist = write_uniform(tmp_path, 4)
     code, _, err = run_cli(capsys, "net", path3_file, dist, "--eps", "1/2")

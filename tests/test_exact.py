@@ -315,14 +315,18 @@ def test_hitting_targets_are_the_minimal_dense_sets_on_random_closures(case):
 @settings(max_examples=150, deadline=None)
 @given(hitting_inputs())
 def test_chromatic_certificate_matches_the_unreduced_graph_on_random_closures(case):
-    """Reducing to the minimal dense sets keeps chi, and chi bounds every
-    weak net from below, separable space or not."""
+    """The certificate's graph joins exactly its disjoint sets; reducing to
+    the minimal dense sets keeps chi, and chi bounds every weak net from
+    below, separable space or not."""
     space, mu, eps = case
     full = disjointness_graph(space, mu, eps).graph
     assume(full.vertex_count <= 40)
-    bound = chromatic_lower_bound(space, mu, eps, cap=1024).bound
-    assert bound == exact_chromatic_number(full)
-    assert bound <= minimal_weak_net(space, mu, eps)[0]
+    cert = chromatic_lower_bound(space, mu, eps, cap=1024)
+    sets = cert.graph.sets
+    pairs = [(i, j) for i, j in combinations(range(len(sets)), 2) if not set(sets[i].indices) & set(sets[j].indices)]
+    assert cert.graph.graph == Graph.from_edges(len(sets), pairs)
+    assert cert.bound == exact_chromatic_number(full)
+    assert cert.bound <= minimal_weak_net(space, mu, eps)[0]
 
 
 @settings(max_examples=150, deadline=None)

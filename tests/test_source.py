@@ -82,9 +82,7 @@ def test_library_has_no_recursive_closures():
     once per vertex, point or member would let the recursion limit and the
     caller's stack decide whether it answers, and a nested function that
     calls itself also holds a reference cycle through its closure; the
-    searches are loops over an explicit stack instead.  The one exception
-    is `cli._flatten`, whose depth is the fixed nesting of the report
-    envelope, not the size of any input."""
+    searches are loops over an explicit stack instead."""
     found = set()
     for path in SOURCES:
         for func in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -94,7 +92,7 @@ def test_library_has_no_recursive_closures():
             if calls & {func.name, f"self.{func.name}", f"cls.{func.name}"}:
                 found.add(f"{path.stem}.{func.name}")
     assert SOURCES
-    assert found == {"cli._flatten"}
+    assert found == set()
 
 
 def test_one_home_for_the_size_ceiling_and_the_eps_rule():
