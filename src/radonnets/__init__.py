@@ -51,15 +51,11 @@ from .nets import (
 )
 from .bounds import (
     DisjointnessGraph,
-    KleitmanCheck,
     LowerBoundCertificate,
-    NotIntersecting,
     chromatic_lower_bound,
-    kleitman_union_bound,
     kneser_chromatic_number,
     kneser_embedding,
     kneser_graph,
-    kneser_quarter_check,
     radon_lower_bound,
 )
 from .generators import (

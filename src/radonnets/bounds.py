@@ -16,9 +16,8 @@ Two certificate families:
   r - 2k + 2 points (when r >= 2k).
 
 Supporting pieces: explicit Kneser graphs, the closed-form Kneser
-chromatic number, an intersecting-family union bound (at most
-2^n - 2^(n-s) points across s intersecting families), and the n/10
-check for quarter Kneser graphs.
+chromatic number, and the hull embedding of a shattered set's k-subsets
+that the Radon certificate rests on.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exact import Graph, _minimal_dense_sets, exact_chromatic_number
 from .invariants import radon_number
@@ -42,12 +41,6 @@ from .space import (
     check_ground_size,
     size_cap,
 )
-
-
-class NotIntersecting(ValueError):
-    def __init__(self, index: int):
-        self.index = index
-        super().__init__(f"family {index} is not intersecting")
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,46 +147,6 @@ def kneser_chromatic_number(n: int, k: int) -> int:
     if n < 1 or k < 1 or k > n:
         raise ValueError("Kneser graph needs 1 <= k <= n")
     return n - 2 * k + 2 if n >= 2 * k else 1
-
-
-class KleitmanCheck(NamedTuple):
-    ok: bool
-    union_size: int
-    bound: int
-
-
-def kleitman_union_bound(n: int, families: Sequence[Sequence[PointSet]]) -> KleitmanCheck:
-    """Check s intersecting families on an n-set cover at most 2^n - 2^(n-s) sets.
-
-    Each family must be intersecting: every two members (a member with
-    itself included, so no empty sets) share a point.  Compare via the
-    `ok` field; the tuple itself is always truthy.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    s = len(families)
-    union: set[int] = set()
-    for i, fam in enumerate(families):
-        members = list(fam)
-        for a in members:
-            if a.mask >> n:
-                raise ValueError(f"family {i} has a member outside the {n}-set")
-        for a in members:
-            for b in members:
-                if a.mask & b.mask == 0:
-                    raise NotIntersecting(i)
-        union.update(a.mask for a in members)
-    bound = 2**n - 2 ** (n - s) if s <= n else 2**n
-    return KleitmanCheck(len(union) <= bound, len(union), bound)
-
-
-def kneser_quarter_check(n: int) -> bool:
-    """Whether chi(KG_{n, n/4}) exceeds n/10, by exact computation."""
-    if n < 4 or n % 4:
-        raise ValueError("n must be a positive multiple of 4")
-    kg = kneser_graph(n, n // 4)
-    chi = exact_chromatic_number(kg.graph)
-    return 10 * chi > n
 
 
 def kneser_embedding(

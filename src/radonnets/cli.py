@@ -233,7 +233,7 @@ def _cmd_lowerbound(args: argparse.Namespace) -> tuple[dict, dict]:
     if cert.graph is not None:
         result["graph"] = {
             "vertices": len(cert.graph.sets),
-            "edges": len(cert.graph.graph.edges()),
+            "edges": cert.graph.graph.edge_count(),
         }
     return inputs, result
 
@@ -250,7 +250,7 @@ def _cmd_kneser(args: argparse.Namespace) -> tuple[dict, dict]:
         "n": n,
         "k": k,
         "vertices": len(kg.sets),
-        "edges": len(kg.graph.edges()),
+        "edges": kg.graph.edge_count(),
         "formula_chromatic": kneser_chromatic_number(n, k),
     }
     if args.exact or args.alon:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .space import (
     ConsistencyError,
@@ -58,26 +58,8 @@ class Graph:
                     raise ValueError(f"edge {v}-{u} is not symmetric")
                 m ^= low
 
-    @classmethod
-    def from_edges(cls, vertex_count: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        adj = [0] * vertex_count
-        for a, b in edges:
-            if not (0 <= a < vertex_count and 0 <= b < vertex_count):
-                raise ValueError(f"edge {a}-{b} is outside the vertex range")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-        return cls(vertex_count, tuple(adj))
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for v in range(self.vertex_count):
-            m = self.adjacency[v] >> (v + 1)
-            base = v + 1
-            while m:
-                low = m & -m
-                out.append((v, base + low.bit_length() - 1))
-                m ^= low
-        return out
+    def edge_count(self) -> int:
+        return sum(row.bit_count() for row in self.adjacency) // 2
 
 
 def _components(adj: Sequence[int], n: int) -> list[int]:

@@ -185,9 +185,13 @@ def verify_weak_net(
     """Exhaustively check that `points` meets every eps-dense convex set.
 
     The counterexample, if any, is the unpierced dense set of maximum
-    measure, canonically least on ties.
+    measure, canonically least on ties.  Points outside the ground set
+    raise `ValueError`.
     """
-    return _check_net(dense_sets(space, mu, eps), mu, points)
+    dense = dense_sets(space, mu, eps)
+    if points.mask >> space.ground.size:
+        raise ValueError(f"net {points} is not a subset of the ground set")
+    return _check_net(dense, mu, points)
 
 
 def _check_net(dense: tuple[PointSet, ...], mu: Distribution, points: PointSet) -> NetCheck:

@@ -123,27 +123,6 @@ class PointSet:
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
 
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __and__(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.mask & other.mask)
-
-    def __or__(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.mask | other.mask)
-
-    def __xor__(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.mask ^ other.mask)
-
-    def __sub__(self, other: "PointSet") -> "PointSet":
-        return PointSet(self.mask & ~other.mask)
-
-    def __lt__(self, other: "PointSet") -> bool:
-        return self.sort_key < other.sort_key
-
-    def issubset(self, other: "PointSet") -> bool:
-        return self.mask & ~other.mask == 0
-
     def isdisjoint(self, other: "PointSet") -> bool:
         return self.mask & other.mask == 0
 

@@ -123,6 +123,32 @@ def recursion_limit_200(monkeypatch):
     sys.setrecursionlimit(limit)
 
 
+# --- graphs from edge lists ----------------------------------------------------
+
+
+def graph_from_edges(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
+    """The graph on 0..vertex_count-1 with the given edges, each in either
+    order; an edge outside the vertex range, or a self-loop, raises
+    `ValueError`."""
+    adj = [0] * vertex_count
+    for a, b in edges:
+        if not (0 <= a < vertex_count and 0 <= b < vertex_count):
+            raise ValueError(f"edge {a}-{b} is outside the vertex range")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return Graph(vertex_count, tuple(adj))
+
+
+def graph_edges(graph: Graph) -> list[tuple[int, int]]:
+    """Each edge once, as (v, u) with v < u, ordered by v and then u."""
+    return [
+        (v, u)
+        for v in range(graph.vertex_count)
+        for u in range(v + 1, graph.vertex_count)
+        if graph.adjacency[v] >> u & 1
+    ]
+
+
 # --- naive oracles -------------------------------------------------------------
 
 
@@ -340,7 +366,7 @@ def disjointness_graph(space: ConvexitySpace, mu: Distribution, eps: Fraction) -
     reference for the chromatic certificate's reduction to minimal sets."""
     sets = naive_dense_sets(space, mu, eps)
     edges = [(i, j) for i, j in combinations(range(len(sets)), 2) if sets[i].isdisjoint(sets[j])]
-    return DisjointnessGraph(tuple(sets), Graph.from_edges(len(sets), edges))
+    return DisjointnessGraph(tuple(sets), graph_from_edges(len(sets), edges))
 
 
 def naive_min_net(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[int, PointSet]:
@@ -386,6 +412,47 @@ def naive_chromatic(adjacency: tuple[int, ...]) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+# --- Kleitman's union bound ----------------------------------------------------
+
+
+class NotIntersecting(ValueError):
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(f"family {index} is not intersecting")
+
+
+class KleitmanCheck(NamedTuple):
+    ok: bool
+    union_size: int
+    bound: int
+
+
+def kleitman_union_bound(n: int, families: Sequence[Sequence[PointSet]]) -> KleitmanCheck:
+    """Check s intersecting families on an n-set cover at most 2^n - 2^(n-s)
+    sets (Kleitman, 1966).
+
+    Each family must be intersecting: every two members (a member with
+    itself included, so no empty sets) share a point.  Compare via the
+    `ok` field; the tuple itself is always truthy.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    s = len(families)
+    union: set[int] = set()
+    for i, fam in enumerate(families):
+        members = list(fam)
+        for a in members:
+            if a.mask >> n:
+                raise ValueError(f"family {i} has a member outside the {n}-set")
+        for a in members:
+            for b in members:
+                if a.mask & b.mask == 0:
+                    raise NotIntersecting(i)
+        union.update(a.mask for a in members)
+    bound = 2**n - 2 ** (n - s) if s <= n else 2**n
+    return KleitmanCheck(len(union) <= bound, len(union), bound)
 
 
 # --- the net recursion in plain rationals --------------------------------------
@@ -437,7 +504,7 @@ def greedy_packing(family: ConvexFamily, mu: Distribution, delta: Fraction) -> C
     if delta < 0:
         raise ValueError("delta must be non-negative")
     sets = family.sets
-    dist = lambda a, b: fraction_measure(mu, a ^ b)
+    dist = lambda a, b: fraction_measure(mu, PointSet(a.mask ^ b.mask))
     chosen: list[PointSet] = []
     for s in sets:
         if all(dist(s, a) > delta for a in chosen):

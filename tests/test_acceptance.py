@@ -27,7 +27,6 @@ from radonnets import (
     cylinder_space,
     exact_chromatic_number,
     halfspaces,
-    kleitman_union_bound,
     kneser_embedding,
     kneser_graph,
     minimal_weak_net,
@@ -39,7 +38,7 @@ from radonnets import (
     verify_weak_net,
 )
 
-from conftest import corpus_distributions, disjointness_graph, tree_edge_lists
+from conftest import corpus_distributions, disjointness_graph, kleitman_union_bound, tree_edge_lists
 
 EPSILONS = (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4))
 

@@ -7,18 +7,14 @@ import pytest
 from radonnets import (
     ConsistencyError,
     Distribution,
-    Graph,
-    NotIntersecting,
     PointSet,
     TooLarge,
     chromatic_lower_bound,
     cylinder_space,
     exact_chromatic_number,
-    kleitman_union_bound,
     kneser_chromatic_number,
     kneser_embedding,
     kneser_graph,
-    kneser_quarter_check,
     minimal_weak_net,
     power_set_space,
     radon_lower_bound,
@@ -27,7 +23,14 @@ from radonnets import (
     subtree_space,
 )
 
-from conftest import disjointness_graph, seeded_distribution
+from conftest import (
+    NotIntersecting,
+    disjointness_graph,
+    graph_edges,
+    graph_from_edges,
+    kleitman_union_bound,
+    seeded_distribution,
+)
 
 
 # --- disjointness graphs and chromatic certificates ---------------------------------
@@ -37,9 +40,9 @@ def test_disjointness_graph_structure():
     sp = cylinder_space(2)
     g = disjointness_graph(sp, Distribution.uniform(4), Fraction(1, 4))
     assert len(g.sets) == 9
-    for i, j in g.graph.edges():
+    for i, j in graph_edges(g.graph):
         assert g.sets[i].isdisjoint(g.sets[j])
-    non_edges = {(i, j) for i in range(9) for j in range(i + 1, 9)} - set(g.graph.edges())
+    non_edges = {(i, j) for i in range(9) for j in range(i + 1, 9)} - set(graph_edges(g.graph))
     for i, j in non_edges:
         assert not g.sets[i].isdisjoint(g.sets[j])
 
@@ -51,7 +54,7 @@ def test_chromatic_certificate_on_cylinders():
     assert cert.method == "exact-chromatic"
     # Reduced vertices are the four singletons, giving K4.
     assert [s.indices for s in cert.graph.sets] == [(0,), (1,), (2,), (3,)]
-    assert len(cert.graph.graph.edges()) == 6
+    assert cert.graph.graph.edge_count() == 6
 
 
 def test_chromatic_certificate_trivial_case():
@@ -125,7 +128,7 @@ def test_radon_certificate_is_sound():
 def test_petersen_is_kneser_5_2():
     kg = kneser_graph(5, 2)
     assert len(kg.sets) == 10
-    assert len(kg.graph.edges()) == 15
+    assert kg.graph.edge_count() == 15
     assert all(len(s) == 2 for s in kg.sets)
     assert exact_chromatic_number(kg.graph) == 3
     assert kneser_chromatic_number(5, 2) == 3
@@ -149,7 +152,7 @@ def test_kneser_graph_joins_exactly_the_disjoint_subsets(n, k, monkeypatch):
     subsets = [set(c) for c in combinations(range(n), k)]
     assert [set(s.indices) for s in kg.sets] == subsets
     pairs = [(i, j) for i, j in combinations(range(len(subsets)), 2) if not subsets[i] & subsets[j]]
-    assert kg.graph == Graph.from_edges(len(subsets), pairs)
+    assert kg.graph == graph_from_edges(len(subsets), pairs)
 
 
 def test_kneser_graph_cap(monkeypatch):
@@ -177,16 +180,6 @@ def test_kneser_graph_cap_bounds_the_ground_set(monkeypatch):
     with pytest.raises(TooLarge, match="more vertices than the cap of 200"):
         kneser_graph(201, 200)
     assert len(kneser_graph(200, 200).sets) == 1
-
-
-def test_kneser_quarter_check(monkeypatch):
-    assert kneser_quarter_check(4)
-    monkeypatch.setenv("RADON_NETS_CAP", "70")
-    assert kneser_quarter_check(8)
-    with pytest.raises(ValueError):
-        kneser_quarter_check(6)
-    with pytest.raises(ValueError):
-        kneser_quarter_check(0)
 
 
 # --- Kleitman union bound ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -359,7 +360,10 @@ def test_kneser_exact(capsys):
     assert result["matches_formula"] is True
 
 
-def test_kneser_alon(monkeypatch, capsys):
+@pytest.mark.parametrize("n, chi", [(4, 4), (8, 6)])
+def test_kneser_alon(n, chi, monkeypatch, capsys):
+    """chi(KG_{n,n/4}) > n/10 holds at n = 4 and 8, computed from the chi
+    the report gives."""
     from radonnets import bounds, cli
 
     real = cli.exact_chromatic_number
@@ -371,12 +375,12 @@ def test_kneser_alon(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "exact_chromatic_number", counted)
     monkeypatch.setattr(bounds, "exact_chromatic_number", counted)
-    report = run_json(capsys, "kneser", "--n", "8", "--alon")
+    report = run_json(capsys, "kneser", "--n", str(n), "--alon")
     result = report["result"]
-    assert result["k"] == 2
-    assert result["exact_chromatic"] == 6
-    assert result["alon_check"] == {"threshold": "8/10", "holds": True}
-    assert calls == [28]  # the check reuses the chi it reports
+    assert result["k"] == n // 4
+    assert result["exact_chromatic"] == chi
+    assert result["alon_check"] == {"threshold": f"{n}/10", "holds": True}
+    assert calls == [comb(n, n // 4)]  # the check reuses the chi it reports
 
 
 def test_kneser_graph_too_large_exits_2_at_once(capsys):
@@ -408,12 +412,20 @@ def test_kneser_graph_on_a_huge_ground_set_exits_2_at_once(capsys):
     assert "ground set has 10000000 points, cap is 64" in err
 
 
-def test_kneser_argument_errors(capsys):
-    code, _, err = run_cli(capsys, "kneser", "--n", "7", "--alon")
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--n", "7", "--alon"), "--alon needs n divisible by 4"),
+        (("--n", "6", "--alon"), "--alon needs n divisible by 4"),
+        (("--n", "0", "--alon"), "--alon needs n divisible by 4"),
+        (("--n", "5"), "--k"),
+    ],
+    ids=["n7-alon", "n6-alon", "n0-alon", "n5-no-k"],
+)
+def test_kneser_argument_errors(argv, message, capsys):
+    code, _, err = run_cli(capsys, "kneser", *argv)
     assert code == 2
-    code, _, err = run_cli(capsys, "kneser", "--n", "5")
-    assert code == 2
-    assert "--k" in err
+    assert message in err
 
 
 def test_python_dash_m_runs_the_cli():

@@ -157,9 +157,9 @@ def test_greedy_packing_properties():
         chosen = list(packing)
         for i, a in enumerate(chosen):
             for b in chosen[i + 1:]:
-                assert fraction_measure(mu, a ^ b) > delta
+                assert fraction_measure(mu, PointSet(a.mask ^ b.mask)) > delta
         for s in fam:
-            assert any(fraction_measure(mu, s ^ a) <= delta for a in chosen)
+            assert any(fraction_measure(mu, PointSet(s.mask ^ a.mask)) <= delta for a in chosen)
     with pytest.raises(ValueError):
         greedy_packing(fam, mu, Fraction(-1, 2))
 
@@ -179,6 +179,18 @@ def test_verify_weak_net_ties_break_canonically():
     mu = Distribution.uniform_on(3, PointSet(0b011))
     check = verify_weak_net(sp, mu, Fraction(1, 2), PointSet.from_indices([2]))
     assert check.counterexample == PointSet.from_indices([0])
+
+
+@pytest.mark.parametrize(
+    "points", [0b111 | 1 << 40, 1 << 3, 1 << 63], ids=["ground-and-40", "point-3", "point-63"]
+)
+def test_verify_weak_net_rejects_points_outside_the_ground_set(points):
+    """A net is a set of ground points: a point beyond the ground set is
+    refused as `build_weak_net` refuses such a family member, rather than
+    judged by the ground points it also holds."""
+    p3 = power_set_space(3)
+    with pytest.raises(ValueError, match="not a subset of the ground set"):
+        verify_weak_net(p3, Distribution.uniform(3), Fraction(1, 2), PointSet(points))
 
 
 # --- the net construction ---------------------------------------------------------
@@ -509,8 +521,8 @@ def test_trace_structure():
         assert level < net.params.depth
         for a, child in node.children:
             assert a in node.packing
-            assert fraction_measure(mu, a & node.support) > 0
-            assert child.support == a & node.support
+            assert fraction_measure(mu, PointSet(a.mask & node.support.mask)) > 0
+            assert child.support == PointSet(a.mask & node.support.mask)
             walk(child, level + 1)
 
     walk(net.trace, 0)

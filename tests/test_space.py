@@ -64,12 +64,6 @@ def test_pointset_basics():
 def test_pointset_operators():
     a = PointSet.from_indices([0, 1])
     b = PointSet.from_indices([1, 2])
-    assert (a & b).indices == (1,)
-    assert (a | b).indices == (0, 1, 2)
-    assert (a ^ b).indices == (0, 2)
-    assert (a - b).indices == (0,)
-    assert PointSet.from_indices([1]).issubset(a)
-    assert not a.issubset(b)
     assert a.isdisjoint(PointSet.from_indices([3]))
     assert not a.isdisjoint(b)
 
@@ -77,7 +71,7 @@ def test_pointset_operators():
 def test_pointset_canonical_order():
     # Lexicographic by ascending index list, so {0,2} precedes {1}.
     sets = [PointSet.from_indices(x) for x in [(1,), (0, 2), (), (0,), (0, 1, 2)]]
-    ordered = sorted(sets)
+    ordered = sorted(sets, key=lambda s: s.sort_key)
     assert [s.indices for s in ordered] == [(), (0,), (0, 1, 2), (0, 2), (1,)]
 
 
@@ -239,8 +233,8 @@ def test_hull_properties():
         z = PointSet(y.mask | rng.randrange(full + 1))
         hulls = _HullCache(sp)
         hy = PointSet(hulls.hull(y.mask))
-        assert y.issubset(hy)
-        assert hy.issubset(PointSet(hulls.hull(z.mask)))
+        assert y.mask & ~hy.mask == 0
+        assert hy.mask & ~hulls.hull(z.mask) == 0
         assert hulls.hull(hy.mask) == hy.mask
         assert hy.mask in members
         assert hy.indices == tuple(sorted(naive_hull(sp, frozenset(y.indices))))
@@ -405,7 +399,7 @@ def test_measure_additivity():
     for _ in range(50):
         a = PointSet(rng.randrange(1 << 12))
         b = PointSet(rng.randrange(1 << 12))
-        union, meet = (Fraction(mu.mass(m.mask), mu.den) for m in (a | b, a & b))
+        union, meet = (Fraction(mu.mass(m), mu.den) for m in (a.mask | b.mask, a.mask & b.mask))
         assert union + meet == fraction_measure(mu, a) + fraction_measure(mu, b)
 
 
