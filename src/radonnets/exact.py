@@ -184,7 +184,11 @@ class HittingSetInstance:
 
 def dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
     """Convex sets of measure at least eps, in canonical order."""
-    eps = check_eps(eps)
+    return _dense_sets(space, mu, check_eps(eps))
+
+
+def _dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
+    """`dense_sets` for an eps that `check_eps` has returned."""
     if mu.size != space.ground.size:
         raise ValueError("distribution size does not match the ground set")
     # mass / den >= p / q, cross-multiplied.

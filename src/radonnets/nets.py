@@ -18,14 +18,20 @@ The amplification gives a recursion depth of N(eps) = min { n :
 eps * (1 + 1/(2h))^n > 1 - 1/h }; conditioning composes by intersection,
 so a node is fixed by its (support, level), and the build is a loop over
 the levels and their distinct supports.  Only delta depends on the level:
-supports' masses, lightest weights and piercing points are computed once
-per build.  On a support m half-spaces with one trace b & m are at
-distance 0, so packings run over the distinct traces, one half-space each
-(the first in canonical order, so no sort), and take them all when each
-point of m has mu_m-weight above delta.  The grouping by trace does not
+supports' masses and piercing points are computed once per build, and so
+is w_min, the lightest positive weight of mu.  On a support m half-spaces
+with one trace b & m are at distance 0, so packings run over the distinct
+traces, one half-space each (the first in canonical order, so no sort),
+and take them all when w_min is above delta * mu(m).  Every support lies
+inside the support of mu, so that test passes only where m's own
+lightest point is above delta * mu(m) too; and where only the latter
+holds, the greedy scan keeps every trace as well, since distinct traces
+differ in a point of m.  So one w_min per build gives the packings that a
+lightest weight per support would.  The grouping by trace does not
 depend on the measure or the threshold, so the family keeps it per
 support across builds (`ConvexFamily.trace_classes`).  All comparisons
-are exact, in integers (`Distribution.mass` against delta p/q).
+are exact, in integers (`Distribution.mass` against delta p/q, and each
+level's threshold formed from the last one's numerator and denominator).
 The recursion trace is built from a flat per-level record when read.
 
 The finished net is checked against every convex set of the space; a
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exact import dense_sets
+from .exact import _dense_sets, dense_sets
 from .invariants import helly_number, vc_dimension
 from .space import (
     ConsistencyError,
@@ -107,7 +113,7 @@ def amplification_depth(eps: Fraction, helly: int) -> int:
 
 
 def _net_params(eps: Fraction, helly: int, vc: int) -> NetParams:
-    eps = check_eps(eps)
+    """The build's parameters, for an eps that `check_eps` has returned."""
     if vc < 0:
         raise ValueError("the VC dimension is non-negative")
     depth = amplification_depth(eps, helly)
@@ -235,8 +241,10 @@ def build_weak_net(
     (120 h^2 / eps)^(4 h v ln(1/eps)), and its recursion trace, built
     on first access.
     """
-    # Also checks eps and the size of mu; the finished net is checked against these.
-    dense = dense_sets(space, mu, eps)
+    # `_dense_sets` and `_net_params` take eps as checked here; the finished
+    # net is checked against `dense`.
+    eps = check_eps(eps)
+    dense = _dense_sets(space, mu, eps)
     full = space.full.mask
     for s in family.sets:
         if s.mask & ~full:
@@ -245,25 +253,34 @@ def build_weak_net(
     v = vc_dimension(family, space.ground.size)[0] if vc is None else vc
 
     params = _net_params(eps, h, v)
-    eps, depth = params.eps, params.depth
+    depth = params.depth
     # Only delta depends on the level, so the rest is computed once per build.
-    # Per support m: its mass, lightest point weight and piercing point, its
-    # distinct traces t = b & m, each with the first half-space in canonical
-    # order that has it (the family's trace classes on m, whose meets give
-    # the piercing point), and the non-empty traces as dict keys, the
-    # children when every trace is packed (m lies inside the support of mu,
-    # so a child t = m & a has mass iff t != 0).  Per level: the running
-    # threshold e = eps (1 + 1/(2h))^level, its delta as p/q in lowest terms,
-    # Haussler's cap (4e^2/delta)^v in log space (float(delta) underflows),
-    # and the frontier of the level's distinct supports.
-    pierced: dict[int, tuple[int, int, int, tuple[tuple[int, PointSet], ...], dict[int, None]]] = {}
-    wsum, nums = mu.mass, mu.nums
-    record, frontier = [], {mu.support().mask: None}
+    # Per build: the support of mu, the root, and w_min, its lightest
+    # positive weight.  Every support lies inside the root, so each point
+    # of a support weighs at least w_min.  Per support m: its mass and
+    # piercing point, and the family's trace classes on m: its distinct
+    # traces t = b & m, each with the first half-space in canonical order
+    # that has it, the meets that give the piercing point, and the
+    # non-empty traces as dict keys, the children when every trace is packed
+    # (a child t = m & a has mass iff t != 0).  Per level: the running
+    # threshold e = eps (1 + 1/(2h))^level, next formed from its integers,
+    # its delta as p/q in lowest terms, Haussler's cap (4e^2/delta)^v in log
+    # space (float(delta) underflows), and the level's distinct supports.
+    pierced: dict[int, tuple[int, int, tuple[tuple[int, PointSet], ...], dict[int, None]]] = {}
+    wsum = mu.mass
+    support, w_min = 0, mu.den
+    for i, n in enumerate(mu.nums):
+        if n:
+            support |= 1 << i
+            if n < w_min:
+                w_min = n
+    record, frontier = [], {support: None}
     points_mask = edges = max_packing = 0
-    e, grow, hh = eps, 1 + Fraction(1, 2 * h), 4 * h * h
+    e, hh = eps, 4 * h * h
     for level in range(depth + 1):
-        g = math.gcd(e.numerator, hh)
-        p, q = e.numerator // g, e.denominator * (hh // g)
+        en, ed = e.numerator, e.denominator
+        g = math.gcd(en, hh)
+        p, q = en // g, ed * (hh // g)
         log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
         here, below = [], {}
         for m in frontier:
@@ -272,7 +289,7 @@ def build_weak_net(
                 w_m = wsum(m)
                 # Half-spaces with one trace share their mass on m: each trace
                 # is tested once, and if dense ANDs in the meet of its half-spaces.
-                traces, meets = family.trace_classes(m)
+                traces, meets, kids = family.trace_classes(m)
                 inter = full
                 for (t, _), b in zip(traces, meets):
                     # mu_m(t) > 1 - 1/h, cross-multiplied.
@@ -283,16 +300,17 @@ def build_weak_net(
                         "dense half-spaces have empty intersection; the Helly number is wrong"
                     )
                 x0 = (inter & -inter).bit_length() - 1
-                w_min = min(nums[i] for i in range(m.bit_length()) if m >> i & 1)
-                got = pierced[m] = (w_m, w_min, x0, traces, dict.fromkeys(t for t, _ in traces if t))
+                got = pierced[m] = (w_m, x0, traces, kids)
                 points_mask |= 1 << x0
-            w_m, w_min, x0, traces, kids = got
+            w_m, x0, traces, kids = got
             if level == depth:
                 here.append((m, x0, None))
                 continue
             # Distinct traces differ in a point of m, of weight at least w_min:
             # if that beats delta all are packed, else those beyond delta of
             # all packed before, in family order, so the packing is canonical.
+            # Where m's own lightest point beats delta but w_min does not, that
+            # scan keeps every trace too, so the packing is the same.
             pw = p * w_m
             chosen = traces
             if q * w_min <= pw:
@@ -314,7 +332,7 @@ def build_weak_net(
             below.update(kids)
             edges += len(kids)
         record.append((e, tuple(here)))
-        frontier, e = below, e * grow
+        frontier, e = below, Fraction(en * (2 * h + 1), ed * 2 * h)
 
     points = PointSet(points_mask)
     bound = size_bound_value(eps, h, v)

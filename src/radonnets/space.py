@@ -196,11 +196,14 @@ class ConvexFamily:
     def masks(self) -> list[int]:
         return [s.mask for s in self.sets]
 
-    def trace_classes(self, m: int) -> tuple[tuple[tuple[int, PointSet], ...], tuple[int, ...]]:
+    def trace_classes(
+        self, m: int
+    ) -> tuple[tuple[tuple[int, PointSet], ...], tuple[int, ...], dict[int, None]]:
         """The members grouped by their trace b & m, per distinct trace in
-        order of first appearance: the (trace, first member) pairs, and the
-        meets of the classes in the same order.  Kept per `m` on the family,
-        so later calls with the same mask cost a dict lookup."""
+        order of first appearance: the (trace, first member) pairs, the
+        meets of the classes in the same order, and the non-empty traces as
+        the keys of a dict, which callers only read.  Kept per `m` on the
+        family, so later calls with the same mask cost a dict lookup."""
         got = self._traces.get(m)
         if got is None:
             first: dict[int, PointSet] = {}
@@ -212,7 +215,8 @@ class ConvexFamily:
                     meet[t] &= b
                 else:
                     first[t], meet[t] = s, b
-            got = self._traces[m] = (tuple(first.items()), tuple(meet.values()))
+            nonempty = dict.fromkeys(t for t in first if t)
+            got = self._traces[m] = (tuple(first.items()), tuple(meet.values()), nonempty)
         return got
 
     def __len__(self) -> int:
@@ -293,9 +297,6 @@ class Distribution:
     @property
     def size(self) -> int:
         return len(self.weights)
-
-    def support(self) -> PointSet:
-        return PointSet.from_indices(i for i, n in enumerate(self.nums) if n > 0)
 
 
 class SeparationCheck(NamedTuple):

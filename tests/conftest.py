@@ -357,6 +357,11 @@ def fraction_measure(mu: Distribution, points: PointSet) -> Fraction:
     return sum((mu.weights[i] for i in points.indices), start=Fraction(0))
 
 
+def support(mu: Distribution) -> PointSet:
+    """The points of positive weight."""
+    return PointSet.from_indices(i for i, n in enumerate(mu.nums) if n > 0)
+
+
 def naive_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> list[PointSet]:
     return [s for s in space.sets if fraction_measure(mu, s) >= eps]
 
@@ -602,7 +607,7 @@ def reference_build_weak_net(
         memo[key] = (node, points)
         return memo[key]
 
-    root, points = recurse(mu.support().mask, 0)
+    root, points = recurse(support(mu).mask, 0)
     del recurse
     return ReferenceNet(PointSet(points), root, size_bound_value(eps, h, v), params)
 

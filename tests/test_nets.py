@@ -419,6 +419,35 @@ def test_greedy_packing_drops_traces_within_delta(corpus):
         assert dropped, eps
 
 
+def test_packing_by_one_lightest_weight_per_build():
+    """The build tests "every trace packed" by the lightest positive weight
+    of mu (point 6 here), not of each support.  On some supports that
+    weight is within delta * mu(m) while m's own lightest point is above
+    it, so the greedy scan runs there; it keeps one half-space per trace,
+    as the test by m's own weight would have, and the net is the per-level
+    recursion's."""
+    sp = cylinder_space(3)
+    b = halfspaces(sp)
+    h, v = helly_number(b)[0], vc_dimension(b, sp.ground.size)[0]
+    assert (h, v) == (2, 3)
+    mu = Distribution.from_integer_weights([6, 9, 9, 9, 8, 9, 1, 6])
+    eps = Fraction(1, 4)
+    net = build_weak_net(sp, b, mu, eps, helly=h, vc=v)
+    ref = reference_build_weak_net(sp, b, mu, eps, h, v)
+    assert (net.points, net.size_bound, net.params) == (ref.points, ref.size_bound, ref.params)
+    assert same_trace(net.trace, ref.trace)
+    lightest = min(w for w in mu.weights if w)
+    scanned = []
+    for node in dag_nodes(net.trace):
+        if node.packing is None:
+            continue
+        m, cut = node.support.mask, node.eps / (4 * h * h) * fraction_measure(mu, node.support)
+        if lightest <= cut < min(mu.weights[i] for i in node.support.indices):
+            scanned.append(node)
+            assert [s.mask & m for s in node.packing] == list(dict.fromkeys(s.mask & m for s in b))
+    assert scanned
+
+
 def test_trace_is_built_on_first_read(monkeypatch):
     """The build makes no NetNode; the first read of `trace` makes one per
     (support, level) node, and later reads return the same DAG."""

@@ -35,7 +35,7 @@ from radonnets import (
 )
 from radonnets.space import _HullCache, check_eps, masked_sum, weight_tables
 
-from conftest import fraction_measure, naive_hull
+from conftest import fraction_measure, naive_hull, support
 
 PATH3 = [("a", "b"), ("b", "c")]
 
@@ -137,9 +137,10 @@ def test_family_canonicalizes():
 
 def test_trace_classes_group_members_by_trace():
     """Per trace on m, in order of first appearance: the first member with
-    it, and the meet of all of them.  A family keeps them per mask, whether
-    built by the constructor or by `from_canonical` (as `halfspaces` is),
-    and what it keeps changes neither equality, hash nor repr."""
+    it, and the meet of all of them; and the non-empty traces, in the same
+    order.  A family keeps them per mask, whether built by the constructor
+    or by `from_canonical` (as `halfspaces` is), and what it keeps changes
+    neither equality, hash nor repr."""
     sp = random_separable(6, 3)
     canonical = halfspaces(sp)
     built = ConvexFamily(canonical.sets)
@@ -148,8 +149,9 @@ def test_trace_classes_group_members_by_trace():
         for m in range(1 << 6):
             got = fam.trace_classes(m)
             assert fam.trace_classes(m) is got
-            pairs, meets = got
+            pairs, meets, nonempty = got
             assert [t for t, _ in pairs] == list(dict.fromkeys(b & m for b in masks))
+            assert list(nonempty) == [t for t, _ in pairs if t]
             assert len(meets) == len(pairs)
             for (t, first), meet in zip(pairs, meets):
                 members = [b for b in masks if b & m == t]
@@ -376,7 +378,7 @@ def test_distribution_constructors():
     assert mu.mass(0b1111) == mu.den
     on = Distribution.uniform_on(4, PointSet.from_indices([1, 3]))
     assert on.weights == (0, Fraction(1, 2), 0, Fraction(1, 2))
-    assert on.support().indices == (1, 3)
+    assert support(on).indices == (1, 3)
     w = Distribution.from_integer_weights([2, 0, 3])
     assert w.weights == (Fraction(2, 5), 0, Fraction(3, 5))
 
