@@ -9,9 +9,11 @@ real pruning to finish on the sizes the test corpus uses:
   branching and symmetry capping on fresh colors; the coloring state is
   bit masks, copied per branch;
 * minimum weak net: one lexicographic hitting-set search over the
-  inclusion-minimal dense sets, run at each size from a disjoint-packing
-  lower bound up; the first size that succeeds is the optimum, and the
-  set it finds is the lexicographically least optimal net.
+  inclusion-minimal dense sets (`_minimal_dense_sets`, which the
+  chromatic certificate in `bounds` calls too), run at each size from a
+  disjoint-packing lower bound up; the first size that succeeds is the
+  optimum, and the set it finds is the lexicographically least optimal
+  net.
 
 Both searches are loops over an explicit stack, one frame per colored
 vertex or picked point, so the recursion limit does not bound them.
@@ -191,23 +193,34 @@ def _dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple
     """`dense_sets` for an eps that `check_eps` has returned."""
     if mu.size != space.ground.size:
         raise ValueError("distribution size does not match the ground set")
-    # mass / den >= p / q, cross-multiplied.
-    p, q = eps.numerator * mu.den, eps.denominator
-    return tuple(s for s in space.sets if q * mu.mass(s.mask) >= p)
+    # mass / den >= p / q, and masses are integers: mass >= ceil(p * den / q).
+    least = -(-eps.numerator * mu.den // eps.denominator)
+    mass = mu.mass
+    return tuple([s for s in space.sets if mass(s.mask) >= least])
 
 
 def _minimal_dense_sets(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> tuple[PointSet, ...]:
     """Inclusion-minimal eps-dense convex sets, in canonical order.
 
-    Scanned by popcount, so every kept set is minimal.
+    The dense sets are scanned by popcount, so a set is minimal iff no set
+    kept before it lies inside it.  When all are minimal the dense tuple
+    itself is returned; otherwise its subsequence of minimal sets, which
+    is canonical because the dense tuple is.
     """
-    dense = dense_sets(space, mu, eps)
-    kept: set[int] = set()
-    for m in sorted((s.mask for s in dense), key=int.bit_count):
-        if not any(k & ~m == 0 for k in kept):
-            kept.add(m)
-    # `dense` is canonical, so its subsequence of minimal sets is too.
-    return tuple(s for s in dense if s.mask in kept)
+    dense = _dense_sets(space, mu, check_eps(eps))
+    masks = [s.mask for s in dense]
+    masks.sort(key=int.bit_count)
+    kept: list[int] = []
+    for m in masks:
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    if len(kept) == len(dense):
+        return dense
+    minimal = set(kept)
+    return tuple([s for s in dense if s.mask in minimal])
 
 
 def hitting_instance(space: ConvexitySpace, mu: Distribution, eps: Fraction) -> HittingSetInstance:

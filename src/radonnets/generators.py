@@ -145,17 +145,21 @@ def linear_extension_space(
     """Linear extensions of a base partial order, with order-refinement sets.
 
     Ground points are the linear extensions of the base order, labelled
-    like "a<b<c".  For every partial order P refining the base, the
-    extensions of P form a convex set; together with the empty set these
-    are intersection closed, since joining two compatible refinements is
-    again a refinement and incompatible ones share no extension.  The
-    half-spaces are "a before b" for each ordered pair, and the extensions
-    of P are the intersection of those for the pairs of P.
+    like "a<b<c", so an element name must be non-empty and free of "<".
+    For every partial order P refining the base, the extensions of P form
+    a convex set; together with the empty set these are intersection
+    closed, since joining two compatible refinements is again a refinement
+    and incompatible ones share no extension.  The half-spaces are "a
+    before b" for each ordered pair, and the extensions of P are the
+    intersection of those for the pairs of P.
     """
     elems = tuple(str(e) for e in elements)
     k = len(elems)
     if not 1 <= k <= 5:
         raise ValueError("poset space needs 1 to 5 elements")
+    for e in elems:
+        if not e or "<" in e:
+            raise ValueError(f"poset element {e!r} is empty or contains '<', which joins the labels")
     if len(set(elems)) != k:
         raise ValueError("poset elements must be distinct")
     idx = {e: i for i, e in enumerate(elems)}

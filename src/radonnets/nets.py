@@ -201,9 +201,11 @@ def verify_weak_net(
 
 
 def _check_net(dense: tuple[PointSet, ...], mu: Distribution, points: PointSet) -> NetCheck:
-    missed = [c for c in dense if not c.mask & points.mask]
-    worst = max(missed, key=lambda c: mu.mass(c.mask), default=None)
-    return NetCheck(worst is None, worst)
+    net = points.mask
+    missed = [c for c in dense if not c.mask & net]
+    if not missed:
+        return NetCheck(True, None)
+    return NetCheck(False, max(missed, key=lambda c: mu.mass(c.mask)))
 
 
 def size_bound_value(eps: Fraction, helly: int, vc: int) -> float:
@@ -211,10 +213,11 @@ def size_bound_value(eps: Fraction, helly: int, vc: int) -> float:
     when the logarithm exceeds 700."""
     if vc == 0:
         return 1.0
-    if float(eps) == 0:  # eps below about 1e-324, far past the overflow
+    e = float(eps)
+    if e == 0:  # eps below about 1e-324, far past the overflow
         return math.inf
-    base = math.log(120 * helly * helly / float(eps))
-    exponent = 4 * helly * vc * math.log(1 / float(eps))
+    base = math.log(120 * helly * helly / e)
+    exponent = 4 * helly * vc * math.log(1 / e)
     log_bound = exponent * base
     return math.inf if log_bound > 700 else math.exp(log_bound)
 
@@ -263,9 +266,10 @@ def build_weak_net(
     # that has it, the meets that give the piercing point, and the
     # non-empty traces as dict keys, the children when every trace is packed
     # (a child t = m & a has mass iff t != 0).  Per level: the running
-    # threshold e = eps (1 + 1/(2h))^level, next formed from its integers,
-    # its delta as p/q in lowest terms, Haussler's cap (4e^2/delta)^v in log
-    # space (float(delta) underflows), and the level's distinct supports.
+    # threshold e = eps (1 + 1/(2h))^level and the level's distinct supports;
+    # above the leaf also its delta as p/q in lowest terms, Haussler's cap
+    # (4e^2/delta)^v in log space (float(delta) underflows), and the next
+    # threshold, formed from e's integers.  The leaf level packs nothing.
     pierced: dict[int, tuple[int, int, tuple[tuple[int, PointSet], ...], dict[int, None]]] = {}
     wsum = mu.mass
     support, w_min = 0, mu.den
@@ -278,10 +282,12 @@ def build_weak_net(
     points_mask = edges = max_packing = 0
     e, hh = eps, 4 * h * h
     for level in range(depth + 1):
-        en, ed = e.numerator, e.denominator
-        g = math.gcd(en, hh)
-        p, q = en // g, ed * (hh // g)
-        log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
+        leaf = level == depth
+        if not leaf:
+            en, ed = e.numerator, e.denominator
+            g = math.gcd(en, hh)
+            p, q = en // g, ed * (hh // g)
+            log_cap = v * (_LOG_HAUSSLER_BASE - math.log(p) + math.log(q))
         here, below = [], {}
         for m in frontier:
             got = pierced.get(m)
@@ -303,7 +309,7 @@ def build_weak_net(
                 got = pierced[m] = (w_m, x0, traces, kids)
                 points_mask |= 1 << x0
             w_m, x0, traces, kids = got
-            if level == depth:
+            if leaf:
                 here.append((m, x0, None))
                 continue
             # Distinct traces differ in a point of m, of weight at least w_min:
@@ -332,6 +338,8 @@ def build_weak_net(
             below.update(kids)
             edges += len(kids)
         record.append((e, tuple(here)))
+        if leaf:
+            break
         frontier, e = below, Fraction(en * (2 * h + 1), ed * 2 * h)
 
     points = PointSet(points_mask)

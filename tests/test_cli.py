@@ -127,6 +127,13 @@ def test_gen_rejects_bad_relations(capsys):
     assert "relation 'a-b' is not of the form a<b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elements, name", [(",a", "''"), ("a,a<a", "'a<a'")])
+def test_gen_rejects_poset_names_that_make_labels_ambiguous(capsys, elements, name):
+    code, out, err = run_cli(capsys, "gen", "poset", "--elements", elements)
+    assert (code, out) == (2, "")
+    assert f"poset element {name} is empty or contains '<'" in err
+
+
 # --- analyze --------------------------------------------------------------------
 
 

@@ -292,13 +292,13 @@ def test_minimum_net_witness_is_lex_least():
 def hitting_inputs(draw):
     """An intersection closure of an arbitrary basis on 2 to 7 points (so
     not always separable), an integer measure with at least one non-zero
-    weight, and an eps."""
+    weight, and an eps; at eps 1 only the sets of full mass are dense."""
     n = draw(st.integers(2, 7))
     basis = [PointSet(m) for m in draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))]
     space = intersection_closure(GroundSet(tuple(f"p{i}" for i in range(n))), basis)
     nums = draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     nums[draw(st.integers(0, n - 1))] = draw(st.integers(1, 5))
-    eps = draw(st.sampled_from([Fraction(1, k) for k in (5, 4, 3, 2)] + [Fraction(3, 4)]))
+    eps = draw(st.sampled_from([Fraction(1, k) for k in (5, 4, 3, 2, 1)] + [Fraction(3, 4)]))
     return space, Distribution.from_integer_weights(nums), eps
 
 
@@ -318,6 +318,7 @@ def test_hitting_targets_are_the_minimal_dense_sets_on_random_closures(case):
     targets = hitting_instance(space, mu, eps).targets
     assert list(targets) == minimal
     assert sorted(targets, key=lambda s: s.sort_key) == minimal
+    assert chromatic_lower_bound(space, mu, eps).graph.sets == targets
 
 
 @settings(max_examples=150, deadline=None)

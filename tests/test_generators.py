@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -159,6 +160,18 @@ def test_poset_space_validation():
         linear_extension_space(("a", "b"), [("a", "b"), ("b", "a")])
     with pytest.raises(TooLarge, match="ground set has 120 points, cap is 64"):
         linear_extension_space(("a", "b", "c", "d", "e"))
+
+
+@pytest.mark.parametrize(
+    "elements", [("", "a"), ("a", "a<a"), ("a<", "b"), ("<",)], ids=["empty", "inner", "trailing", "bare"]
+)
+def test_poset_space_refuses_names_that_make_labels_ambiguous(elements):
+    """Labels join element names with "<", so an empty name or one holding
+    "<" could make two extensions read alike ("" and "a" gave "<a" and
+    "a<"); the error names the element."""
+    bad = next(e for e in elements if not e or "<" in e)
+    with pytest.raises(ValueError, match=re.escape(f"poset element {bad!r} is empty or contains '<'")):
+        linear_extension_space(elements)
 
 
 def test_poset_space_obeys_the_size_cap(monkeypatch):
