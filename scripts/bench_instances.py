@@ -1,6 +1,6 @@
 """Time the corpus workload's net instances on two checkouts side by side.
 
-    python3 scripts/bench_instances.py BEFORE AFTER
+    python3 scripts/bench_instances.py BEFORE AFTER [--record]
 
 BEFORE and AFTER are repository roots, imported into this one process as
 `scripts/bench_invariants.py` does.  The instances are those of
@@ -16,11 +16,13 @@ net, its counters and level record, the verification, the oracle's size
 and witness, the chromatic certificate) with the first pass's; any
 difference exits 1.
 
-`BENCH_instances.json` at the root of this repository gets, per side and
-as the median over RUNS runs: per call and per family the sum of the
-instances' best times in milliseconds, and the throughput, instances per
-second of summed best times (the workload's `throughput_per_s`, without
-its `analyze` requests).
+The script prints, per side and as the median over RUNS runs: per call
+and per family the sum of the instances' best times in milliseconds, and
+the throughput, instances per second of summed best times (the
+workload's `throughput_per_s`, without its `analyze` requests).  With
+--record it also writes them, with every run's throughput, to
+`BENCH_instances.json` at the root of this repository; without the flag
+the committed record is left as it is.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from collections import defaultdict
 from pathlib import Path
 from time import perf_counter
 
-from bench_invariants import describe, load
+from bench_invariants import describe, load, parse_args
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -115,10 +117,8 @@ def run(sides, built, expected: list) -> list[list[list[float]]]:
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
-        print("usage: python3 scripts/bench_instances.py BEFORE AFTER", file=sys.stderr)
-        return 2
-    roots = [Path(arg) for arg in sys.argv[1:]]
+    args = parse_args(OUT)
+    roots = [args.before, args.after]
     sides = [load(roots[0], "radonnets_before"), load(roots[1], "radonnets_after")]
     built = [corpus(rn) for rn in sides]
     families = [family for family, _, _, _, cases in built[0] for _ in cases]
@@ -166,7 +166,8 @@ def main() -> int:
         "calls": calls,
         "families": fams,
     }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    if args.record:
+        OUT.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"throughput {before:9.1f} -> {after:9.1f} /s  ({after / before - 1:+.1%})")
     for name, r in [*calls.items(), *fams.items(), ("total", total)]:
         print(f"{name:10s} {r['before_ms']:9.2f} -> {r['after_ms']:9.2f} ms  x{r['speedup']:.2f}")

@@ -1,6 +1,6 @@
 """Time `analyze` on two checkouts of radonnets side by side.
 
-    python3 scripts/bench_invariants.py BEFORE AFTER
+    python3 scripts/bench_invariants.py BEFORE AFTER [--record]
 
 BEFORE and AFTER are repository roots.  Both packages are imported from
 their `src/` into this one process, under different names, so the two
@@ -8,13 +8,16 @@ sides share the interpreter, the host's load and the run's timing.  Each
 run times `analyze` best of BEST_OF calls on every space below,
 alternating the side that goes first; every space is built by the side's
 own generators, and both sides must give the same report (values and
-witnesses) or the script exits 1.  `BENCH_invariants.json` at the root of
-this repository gets each side's median over RUNS runs, in milliseconds,
-and every run's figure.
+witnesses) or the script exits 1.  It prints each side's median over RUNS
+runs, in milliseconds; with --record it also writes them, and every run's
+figure, to `BENCH_invariants.json` at the root of this repository.
+Without the flag the committed record is left as it is, so an output
+check cannot replace it.
 """
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import json
 import os
@@ -66,6 +69,15 @@ def describe(root: Path) -> str:
     return out.stdout.strip()
 
 
+def parse_args(out: Path) -> argparse.Namespace:
+    """BEFORE and AFTER as paths, and whether to write the record `out`."""
+    parser = argparse.ArgumentParser(description="Check that two checkouts give the same outputs, and time both.")
+    parser.add_argument("before", type=Path, help="repository root of the parent checkout")
+    parser.add_argument("after", type=Path, help="repository root of the changed checkout")
+    parser.add_argument("--record", action="store_true", help=f"also write {out.name} at the repository root")
+    return parser.parse_args()
+
+
 def report_key(rep) -> tuple:
     return (
         rep.radon,
@@ -91,10 +103,8 @@ def best_of(sides, spaces, best: int) -> list[float]:
 
 
 def main() -> int:
-    if len(sys.argv) != 3:
-        print("usage: python3 scripts/bench_invariants.py BEFORE AFTER", file=sys.stderr)
-        return 2
-    roots = [Path(arg) for arg in sys.argv[1:]]
+    args = parse_args(OUT)
+    roots = [args.before, args.after]
     sides = [load(roots[0], "radonnets_before"), load(roots[1], "radonnets_after")]
     built = {name: [make(rn) for rn in sides] for name, make in SPACES.items()}
     for name, spaces in built.items():
@@ -137,7 +147,8 @@ def main() -> int:
             "speedup": round(total_before / total_after, 3),
         },
     }
-    OUT.write_text(json.dumps(doc, indent=2) + "\n")
+    if args.record:
+        OUT.write_text(json.dumps(doc, indent=2) + "\n")
     for name, r in rows.items():
         print(f"{name:20s} {r['before_ms']:8.2f} -> {r['after_ms']:8.2f} ms  x{r['speedup']:.2f}")
     return 0

@@ -7,7 +7,9 @@ real pruning to finish on the sizes the test corpus uses:
 * chromatic number: connected components, greedy clique lower bound,
   then iterative-deepening k-colorability with saturation-degree
   branching and symmetry capping on fresh colors; the coloring state is
-  bit masks, copied per branch;
+  one mask per color of the vertices next to it, plus each vertex's
+  count of adjacent colors bit-sliced across log k masks, all copied per
+  branch, so a node costs O(k) big-int operations whatever the degree;
 * minimum weak net: one lexicographic hitting-set search over the
   inclusion-minimal dense sets (`_minimal_dense_sets`, which the
   chromatic certificate in `bounds` calls too), run at each size from a
@@ -96,49 +98,75 @@ def _greedy_clique(adj: Sequence[int], comp: int) -> list[int]:
     return clique
 
 
-def _k_colorable(adj: Sequence[int], uncolored: int, forbidden: list[int], used: int, k: int) -> bool:
+def _count_in(planes: list[int], added: int) -> None:
+    """Add 1 to the count of every vertex in the mask `added`.
+
+    The counts are bit-sliced, most significant plane first: bit v of
+    `planes[-1 - j]` is bit j of vertex v's count.  The carry ripples up
+    from the last plane, so every count must stay below 2**len(planes).
+    """
+    j = -1
+    while added:
+        plane = planes[j]
+        planes[j] = plane ^ added
+        added &= plane
+        j -= 1
+
+
+def _k_colorable(adj: Sequence[int], uncolored: int, classes: list[int], k: int) -> bool:
     """Whether the vertices in the mask `uncolored` take colors below k.
 
-    `forbidden[v]` masks the colors of v's colored neighbors, and colors
-    0..used-1 are in use.  Branches DSATUR-style on the uncolored vertex
-    with the fewest free colors, lowest index on ties, and tries only one
-    fresh color, `used` (fresh colors are interchangeable).  One stack
-    frame per colored vertex holds the vertices left after it, its
-    uncolored neighbors, the state it was picked in and its untried colors.
+    `classes[c]` masks the vertices next to a vertex of color c, one mask
+    per color in use.  Each uncolored vertex's count of adjacent colors
+    (at most k) is bit-sliced across k.bit_length() planes (`_count_in`),
+    so the DSATUR pick, most adjacent colors and lowest index on ties, is
+    the uncolored mask filtered plane by plane from the most significant.
+    Only one fresh color is tried per vertex, the next one unused (fresh
+    colors are interchangeable).  One stack frame per colored vertex
+    holds the vertices left after it, its uncolored neighbors, the class
+    masks, planes and color count it was picked in, and its untried
+    colors.  A branch copies those k + log k masks, ORs the neighbors into
+    one class and counts the newly adjacent ones in; it walks no
+    neighbor list.
     """
-    k_mask = (1 << k) - 1
+    used = len(classes)
+    classes = classes + [0] * (k - used)
+    planes = [0] * k.bit_length()
+    for cls in classes:
+        _count_in(planes, cls & uncolored)
     stack: list[list] = []
     while True:
         if not uncolored:
             return True
-        best_v = -1
-        best_free = k + 1
-        m = uncolored
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            cnt = (k_mask & ~forbidden[v]).bit_count()
-            if cnt < best_free:
-                best_v, best_free = v, cnt
-                if cnt <= 1:
-                    break
-        rest = uncolored & ~(1 << best_v)
-        stack.append([rest, adj[best_v] & rest, forbidden, used, k_mask & ~forbidden[best_v] & ((2 << used) - 1)])
-        while stack and not stack[-1][4]:
+        pick = uncolored
+        for plane in planes:
+            if pick & plane:
+                pick &= plane
+        low = pick & -pick
+        v = low.bit_length() - 1
+        colors = 0
+        bit = 1
+        for cls in classes[: used + 1]:
+            if not cls & low:
+                colors |= bit
+            bit <<= 1
+        rest = uncolored ^ low
+        stack.append([rest, adj[v] & rest, classes, planes, used, colors])
+        while stack and not stack[-1][5]:
             stack.pop()
         if not stack:
             return False
         frame = stack[-1]
-        uncolored, nb, forbidden, used, colors = frame
-        low = colors & -colors
-        frame[4] = colors ^ low
-        forbidden = forbidden.copy()
-        while nb:
-            u = nb & -nb
-            forbidden[u.bit_length() - 1] |= low
-            nb ^= u
-        used = max(used, low.bit_length())
+        uncolored, nb, classes, planes, used, colors = frame
+        bit = colors & -colors
+        frame[5] = colors ^ bit
+        c = bit.bit_length() - 1
+        classes = classes.copy()
+        planes = planes.copy()
+        _count_in(planes, nb & ~classes[c])
+        classes[c] |= nb
+        if c == used:
+            used += 1
 
 
 def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
@@ -146,8 +174,8 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
 
     Computed per connected component as the max over components: each
     component is tried at k = max(best so far, greedy clique size), with
-    the clique colored 0, 1, ..., and k rises until `_k_colorable`
-    succeeds.  Raises `TooLarge` when the graph has more vertices than the
+    the clique colored 0, 1, ... as the first class masks, and k rises
+    until `_k_colorable` succeeds.  Raises `TooLarge` when the graph has more vertices than the
     cap (default: the package-wide size cap).
     """
     limit = size_cap() if cap is None else cap
@@ -156,19 +184,16 @@ def exact_chromatic_number(graph: Graph, cap: Optional[int] = None) -> int:
     if graph.vertex_count == 0:
         return 0
     adj = graph.adjacency
-    # Components share no vertex, so their cliques seed one list.
-    forbidden = [0] * graph.vertex_count
     best = 1
     for uncolored in _components(adj, graph.vertex_count):
         if not uncolored & (uncolored - 1):
             continue  # a lone vertex takes color 0
         clique = _greedy_clique(adj, uncolored)
-        for i, v in enumerate(clique):
+        for v in clique:
             uncolored ^= 1 << v
-            for u in PointSet(adj[v]).indices:
-                forbidden[u] |= 1 << i
+        classes = [adj[v] for v in clique]
         k = max(best, len(clique))
-        while not _k_colorable(adj, uncolored, forbidden, len(clique), k):
+        while not _k_colorable(adj, uncolored, classes, k):
             k += 1
         best = k
     return best

@@ -35,6 +35,7 @@ from radonnets import (
     random_separable,
     subtree_space,
 )
+from radonnets.exact import _components, _greedy_clique
 from radonnets.nets import NetNode, NetParams, _net_params, size_bound_value
 from radonnets.space import _HullCache
 
@@ -417,6 +418,65 @@ def naive_chromatic(adjacency: tuple[int, ...]) -> int:
     while not colorable(k):
         k += 1
     return k
+
+
+def reference_chromatic_number(graph: Graph) -> int:
+    """Chromatic number by the library's former per-vertex DSATUR search.
+
+    Per component: the greedy clique takes colors 0, 1, ..., then k rises
+    from max(best so far, clique size) until the search succeeds.  The
+    state is a list `forbidden[v]` of the colors on v's colored
+    neighbors, copied per branch; each node scans every uncolored vertex
+    for the fewest free colors (lowest index on ties, stopping at one free
+    color) and tries at most one fresh color.
+    """
+    adj = graph.adjacency
+    if graph.vertex_count == 0:
+        return 0
+
+    def colorable(uncolored: int, forbidden: list[int], used: int, k: int) -> bool:
+        k_mask = (1 << k) - 1
+        stack: list[list] = []
+        while True:
+            if not uncolored:
+                return True
+            best_v, best_free = -1, k + 1
+            for v in PointSet(uncolored).indices:
+                cnt = (k_mask & ~forbidden[v]).bit_count()
+                if cnt < best_free:
+                    best_v, best_free = v, cnt
+                    if cnt <= 1:
+                        break
+            rest = uncolored & ~(1 << best_v)
+            stack.append([rest, adj[best_v] & rest, forbidden, used, k_mask & ~forbidden[best_v] & ((2 << used) - 1)])
+            while stack and not stack[-1][4]:
+                stack.pop()
+            if not stack:
+                return False
+            frame = stack[-1]
+            uncolored, nb, forbidden, used, colors = frame
+            low = colors & -colors
+            frame[4] = colors ^ low
+            forbidden = forbidden.copy()
+            for u in PointSet(nb).indices:
+                forbidden[u] |= low
+            used = max(used, low.bit_length())
+
+    forbidden = [0] * graph.vertex_count
+    best = 1
+    for uncolored in _components(adj, graph.vertex_count):
+        if not uncolored & (uncolored - 1):
+            continue
+        clique = _greedy_clique(adj, uncolored)
+        for i, v in enumerate(clique):
+            uncolored ^= 1 << v
+            for u in PointSet(adj[v]).indices:
+                forbidden[u] |= 1 << i
+        k = max(best, len(clique))
+        while not colorable(uncolored, forbidden, len(clique), k):
+            k += 1
+        best = k
+    return best
 
 
 # --- Kleitman's union bound ----------------------------------------------------

@@ -145,6 +145,16 @@ def test_kneser_chromatic_formula_small():
         kneser_graph(3, 4)
 
 
+def test_kneser_exact_chromatic_matches_the_closed_form_at_n_9_and_10(monkeypatch):
+    """Every KG(n, k) with n = 9 or 10, up to KG(10, 5) with C(10, 5) = 252
+    vertices; KG(10, 3) has 120 vertices and chi 6."""
+    monkeypatch.setenv("RADON_NETS_CAP", "252")
+    for n in (9, 10):
+        for k in range(1, n + 1):
+            expected = n - 2 * k + 2 if n >= 2 * k else 1
+            assert exact_chromatic_number(kneser_graph(n, k).graph) == expected, (n, k)
+
+
 @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 9) for k in range(1, n + 1)])
 def test_kneser_graph_joins_exactly_the_disjoint_subsets(n, k, monkeypatch):
     monkeypatch.setenv("RADON_NETS_CAP", "70")  # C(8, 4)

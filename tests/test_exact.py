@@ -23,7 +23,7 @@ from radonnets import (
     validate_space,
     verify_weak_net,
 )
-from radonnets.exact import _packing_bound
+from radonnets.exact import _count_in, _packing_bound
 
 from conftest import (
     disjointness_graph,
@@ -33,6 +33,7 @@ from conftest import (
     naive_chromatic,
     naive_dense_sets,
     naive_min_net,
+    reference_chromatic_number,
     seeded_distribution,
 )
 
@@ -98,11 +99,11 @@ def test_chromatic_number_handles_components():
 
 
 @st.composite
-def block_graphs(draw):
-    """A disjoint union of 1 to 3 random blocks, 0 to 12 vertices in all,
-    each at its own edge density, with the vertex labels shuffled so the
-    components interleave."""
-    n = draw(st.integers(0, 12))
+def block_graphs(draw, least=0, most=12):
+    """A disjoint union of 1 to 3 random blocks, `least` to `most` vertices
+    in all, each at its own edge density, with the vertex labels shuffled
+    so the components interleave."""
+    n = draw(st.integers(least, most))
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=2)))
     label = draw(st.permutations(range(n)))
     edges = []
@@ -118,6 +119,27 @@ def block_graphs(draw):
 @given(block_graphs())
 def test_chromatic_number_matches_naive(g):
     assert exact_chromatic_number(g) == naive_chromatic(g.adjacency)
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_graphs(13, 28))
+def test_chromatic_number_matches_the_per_vertex_search(g):
+    """Past the sizes `naive_chromatic` can afford, against the former
+    search that kept a mask of neighbor colors per vertex."""
+    assert exact_chromatic_number(g) == reference_chromatic_number(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, (1 << 40) - 1), max_size=20))
+def test_count_in_keeps_per_vertex_counts(added):
+    planes = [0] * len(added).bit_length()
+    for mask in added:
+        _count_in(planes, mask)
+    for v in range(40):
+        count = 0
+        for plane in planes:
+            count = 2 * count + ((plane >> v) & 1)
+        assert count == sum((mask >> v) & 1 for mask in added)
 
 
 @settings(max_examples=100, deadline=None)
